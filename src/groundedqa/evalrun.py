@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -83,19 +83,28 @@ def parse_item(raw: dict[str, Any]) -> DatasetItem:
 
 
 def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
-    """Parse a JSONL dataset; malformed items are skipped with a warning."""
+    """Parse a JSONL dataset; malformed items are skipped with a warning.
+
+    A relative ``kg_ref`` is resolved against the dataset file's directory,
+    so the dataset loads the same from any working directory.
+    """
     items: list[DatasetItem] = []
     skipped = 0
+    base = Path(path).parent
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                items.append(parse_item(json.loads(line)))
+                item = parse_item(json.loads(line))
+                if item.kg_ref:
+                    item = replace(item, kg_ref=str(base / item.kg_ref))
             except (ValueError, KeyError, TypeError) as exc:
                 skipped += 1
                 log.warning("skipping malformed item at line %d: %s", line_no, exc)
+                continue
+            items.append(item)
     return items, skipped
 
 

@@ -103,7 +103,11 @@ class HttpConfig:
 
 
 class HttpBackend:
-    """Chat-completions client with retry, exponential backoff, and timeout."""
+    """Chat-completions client with retry, exponential backoff, and timeout.
+
+    Transport errors, 5xx and 429 are retried; a 429's integer ``Retry-After``
+    replaces that attempt's backoff. Other 4xx responses fail at once.
+    """
 
     def __init__(self, config: HttpConfig, session: Optional[requests.Session] = None):
         self.config = config
@@ -125,9 +129,12 @@ class HttpBackend:
         if key:
             headers["Authorization"] = f"Bearer {key}"
         last_error = "no attempt made"
+        wait = None  # seconds a 429's Retry-After asked for
         for attempt in range(self.config.retries + 1):
             if attempt:
-                time.sleep(self.config.backoff_base * (2 ** (attempt - 1)))
+                time.sleep(wait if wait is not None
+                           else self.config.backoff_base * (2 ** (attempt - 1)))
+            wait = None
             try:
                 resp = self._session.post(
                     self.config.endpoint,
@@ -147,11 +154,27 @@ class HttpBackend:
                     self.call_log.append((request.role, request.rendered_prompt, text))
                 return text
             last_error = f"HTTP {resp.status_code}"
-            if 400 <= resp.status_code < 500:
-                break  # client errors will not heal on retry
+            if resp.status_code == 429:
+                wait = _retry_after_seconds(resp.headers.get("Retry-After"))
+            elif 400 <= resp.status_code < 500:
+                break  # other client errors will not heal on retry
         raise TransportError(
             f"completion failed after {self.config.retries + 1} attempt(s): {last_error}"
         )
+
+
+def _retry_after_seconds(value: Optional[str]) -> Optional[int]:
+    """Delay from a ``Retry-After`` header holding whole seconds, else None.
+
+    The HTTP-date form and malformed values fall back to exponential backoff.
+    """
+    if value is None:
+        return None
+    try:
+        seconds = int(value)
+    except ValueError:
+        return None
+    return seconds if seconds >= 0 else None
 
 
 # -- response grammars -----------------------------------------------------

@@ -9,12 +9,12 @@ dropped in behind the same interface.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .axioms import Axiom, serialize_axiom
 from .kg import KnowledgeGraph, Subgraph, Triple
@@ -24,6 +24,11 @@ from .trace import Audit
 
 DEFAULT_DIMENSION = 256
 DEFAULT_LLM_WINDOW = 40
+
+# Rows embedded and scored at once by top_k_similar. This bounds the memory a
+# call holds (larger chunks raised peak RSS on whole-KG retrieval), so it is
+# a constant rather than a tuning knob.
+SCORE_CHUNK = 64
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
@@ -38,6 +43,7 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _fnv1a_64(token: str) -> int:
     h = _FNV_OFFSET
     for byte in token.encode("utf-8"):
@@ -57,43 +63,30 @@ class HashedEmbedder:
         self.dimension = dimension
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension)
-        for token in _TOKEN_SPLIT.split(text.lower()):
-            if token:
-                vec[_fnv1a_64(token) % self.dimension] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+        return self.embed_many([text])[0]
 
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text, shape ``(len(texts), dimension)``.
 
-class RemoteEmbedder:
-    """Embeddings endpoint client (OpenAI-style ``/embeddings`` wire format)."""
-
-    def __init__(self, endpoint: str, model: str, dimension: int,
-                 api_key: str = "", timeout: float = 30.0):
-        self.endpoint = endpoint
-        self.model = model
-        self.dimension = dimension
-        self.api_key = api_key
-        self.timeout = timeout
-        self._session = requests.Session()
-
-    def embed(self, text: str) -> np.ndarray:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = self._session.post(
-            self.endpoint,
-            json={"model": self.model, "input": text},
-            headers=headers,
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        values = np.asarray(resp.json()["data"][0]["embedding"], dtype=float)
-        if values.shape != (self.dimension,):
-            raise ValueError(f"expected dimension {self.dimension}, got {values.shape}")
-        return values
+        Bucket counts are small integers, so each row's sum of squares is
+        exact whatever the summation order and every row equals what a
+        one-text-at-a-time embedding would give, bit for bit.
+        """
+        dim = self.dimension
+        flat = [
+            row * dim + _fnv1a_64(token) % dim
+            for row, text in enumerate(texts)
+            for token in _TOKEN_SPLIT.split(text.lower())
+            if token
+        ]
+        n = len(texts)
+        m = np.bincount(
+            np.asarray(flat, dtype=np.intp), minlength=n * dim,
+        ).reshape(n, dim).astype(float)
+        norms = np.sqrt(np.vecdot(m, m))
+        nonzero = norms > 0
+        m[nonzero] /= norms[nonzero, None]
+        return m
 
 
 @dataclass
@@ -130,12 +123,23 @@ def top_k_similar(
     if k == 0 or not candidates:
         return []
     query_vec = embedder.embed(axiom_text)
-    scored = []
-    for tid in candidates:
-        vec = embedder.embed(verbalize(kg, kg.triple(tid)))
-        scored.append((float(np.linalg.norm(vec - query_vec)), tid))
-    scored.sort()
-    return [tid for _, tid in scored[:k]]
+    embed_many = getattr(embedder, "embed_many", None)
+    dists = []
+    for start in range(0, len(candidates), SCORE_CHUNK):
+        texts = [verbalize(kg, kg.triple(tid))
+                 for tid in candidates[start:start + SCORE_CHUNK]]
+        if embed_many is not None:
+            diff = embed_many(texts)
+        else:
+            diff = np.array([embedder.embed(text) for text in texts], dtype=float)
+        diff -= query_vec
+        # vecdot reduces each row like the BLAS ddot behind np.linalg.norm on
+        # one vector; einsum or (d*d).sum(1) differ in the last bit on some
+        # rows, which reorders equal-looking distances and changes the picks.
+        dists.append(np.sqrt(np.vecdot(diff, diff)))
+    # candidates ascend by id, so a stable sort breaks ties by smaller id
+    order = np.argsort(np.concatenate(dists), kind="stable")[:k]
+    return [candidates[i] for i in order]
 
 
 def llm_select_triples(

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 
 import pytest
 
@@ -115,6 +116,25 @@ def test_run_eval_traces_verify_against_item_kgs(tmp_path):
         item_kg = KnowledgeGraph.load(item.kg_ref)
         report = verify_trace(item_kg, load_trace(out / f"trace_{item.id}.json"))
         assert report.ok, (item.id, report.violations)
+
+
+def test_run_eval_resolves_relative_kg_ref_against_dataset_dir(tmp_path, monkeypatch):
+    dataset, triples, labels, script = write_eval_fixture(tmp_path)
+    rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+    for row in rows:
+        row["kg_ref"] = os.path.relpath(row["kg_ref"], dataset.parent)
+        assert not os.path.isabs(row["kg_ref"])
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+
+    kg = KnowledgeGraph.load(triples, labels)
+    metrics = run_eval(
+        dataset, kg, ScriptedBackend(script), HashedEmbedder(), out_dir=tmp_path / "out",
+    )
+    assert metrics.n_items == 4 and metrics.skipped == 0
+    assert metrics.accuracy == pytest.approx(0.75)
 
 
 def test_run_eval_merges_inline_personal_kg(tmp_path):

@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from groundedqa import llm
 from groundedqa import (
     HttpBackend,
     HttpConfig,
@@ -75,17 +76,19 @@ def test_unknown_role_rejected():
 # -- HTTP backend ------------------------------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):
-    responses = []  # list of (status, body_dict) consumed per request
+    responses = []  # (status, body_dict[, extra_headers]) consumed per request
     requests = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         _StubHandler.requests.append(json.loads(self.rfile.read(length)))
-        status, body = _StubHandler.responses.pop(0)
+        status, body, *extra = _StubHandler.responses.pop(0)
         payload = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -102,6 +105,7 @@ def stub_server():
     _StubHandler.requests = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def _ok_body(text):
@@ -134,6 +138,43 @@ def test_http_persistent_500_is_transport_error(stub_server):
     )
     with pytest.raises(TransportError):
         backend.complete(LlmRequest("judge", "p"))
+
+
+def test_http_retries_429_and_honors_integer_retry_after(stub_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+    _StubHandler.responses = [
+        (429, {}, {"Retry-After": "2"}),
+        (429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+        (200, _ok_body("ok")),
+    ]
+    backend = HttpBackend(
+        HttpConfig(endpoint=stub_server, model="m", retries=3, backoff_base=0.25)
+    )
+    assert backend.complete(LlmRequest("judge", "p")) == "ok"
+    assert len(_StubHandler.requests) == 3
+    assert sleeps == [2, 0.5]  # Retry-After, then backoff for the date form
+
+
+def test_http_429_retries_stay_within_budget(stub_server, monkeypatch):
+    monkeypatch.setattr(llm.time, "sleep", lambda s: None)
+    _StubHandler.responses = [(429, {})] * 3
+    backend = HttpBackend(
+        HttpConfig(endpoint=stub_server, model="m", retries=2, backoff_base=0.0)
+    )
+    with pytest.raises(TransportError, match="HTTP 429"):
+        backend.complete(LlmRequest("judge", "p"))
+    assert len(_StubHandler.requests) == 3
+
+
+def test_http_400_is_not_retried(stub_server):
+    _StubHandler.responses = [(400, {}), (200, _ok_body("ok"))]
+    backend = HttpBackend(
+        HttpConfig(endpoint=stub_server, model="m", retries=3, backoff_base=0.0)
+    )
+    with pytest.raises(TransportError, match="HTTP 400"):
+        backend.complete(LlmRequest("judge", "p"))
+    assert len(_StubHandler.requests) == 1
 
 
 def test_http_unreachable_is_transport_error():
