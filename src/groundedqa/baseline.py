@@ -16,7 +16,7 @@ from .kg import KnowledgeGraph
 from .llm import LlmRequest
 from .prompts import number_lines, render_prompt
 from .retrieval import Embedder, top_k_similar, verbalize
-from .trace import ReasoningTrace
+from .trace import Audit, ReasoningTrace
 
 _TRUE_RE = re.compile(r"\b(yes|true)\b", re.IGNORECASE)
 _FALSE_RE = re.compile(r"\b(no|false)\b", re.IGNORECASE)
@@ -57,5 +57,5 @@ def baseline_retrieve_read(
     trace.record("Pruning", {"option": None, "new_ids": picked, "cumulative_ids": picked})
     trace.record("FinalAnswer", {"value": value, "selected_option": None, "raw_response": response})
     trace.answer = {"value": value, "selected_option": None}
-    trace.audit = {"rejected_citations": 0, "unresolved_names": 0, "parse_failures": 0}
+    trace.audit = Audit().counters()
     return Answer(value=value), trace

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from dataclasses import asdict
 
 from .entities import Query
 from .evalrun import run_eval
@@ -51,7 +51,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--top-k", type=int, default=10)
         p.add_argument("--max-breadth", type=int, default=2)
         p.add_argument("--max-depth", type=int, default=3)
-        p.add_argument("--seed-docs", help="text file of documents embedded at startup")
 
     ask = sub.add_parser("ask", help="answer one query")
     common(ask)
@@ -87,15 +86,6 @@ def _make_backend(args):
     return HttpBackend(HttpConfig(endpoint=args.endpoint, model=args.model))
 
 
-def _make_embedder(args):
-    embedder = HashedEmbedder()
-    if args.seed_docs:
-        for line in Path(args.seed_docs).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                embedder.embed(line)
-    return embedder
-
-
 def _answer_string(value: str) -> str:
     return "I don't know" if value == "Unknown" else value
 
@@ -118,16 +108,13 @@ def main(argv=None) -> int:
                 "ok": report.ok,
                 "grounding_precision": report.grounding_precision,
                 "steps_checked": report.steps_checked,
-                "violations": [
-                    {"seq": v.seq, "rule": v.rule, "detail": v.detail}
-                    for v in report.violations
-                ],
+                "violations": [asdict(v) for v in report.violations],
             }, indent=2))
             return EXIT_OK if report.ok else EXIT_VERIFY
 
         kg = KnowledgeGraph.load(args.kg, args.labels)
         backend = _make_backend(args)
-        embedder = _make_embedder(args)
+        embedder = HashedEmbedder()
         config = SearchConfig(
             max_breadth=args.max_breadth,
             max_depth=args.max_depth,
@@ -135,13 +122,10 @@ def main(argv=None) -> int:
         )
 
         if args.command == "ask":
-            if args.options:
-                options = tuple(o.strip() for o in args.options.split(";") if o.strip())
-                query = Query(text=args.query, options=options, task="multiple_choice")
-                result = answer_multiple_choice(kg, embedder, backend, query, config)
-            else:
-                query = Query(text=args.query)
-                result = answer_query(kg, embedder, backend, query, config)
+            options = tuple(o.strip() for o in (args.options or "").split(";") if o.strip())
+            query = Query(args.query, options, "multiple_choice" if options else "qa_yes_no")
+            answer = answer_multiple_choice if options else answer_query
+            result = answer(kg, embedder, backend, query, config)
             result.trace.save(args.trace_out)
             print(_answer_string(result.answer.value))
             if result.answer.selected_option is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -60,14 +60,7 @@ class Metrics:
     rejected_citations: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_items": self.n_items,
-            "skipped": self.skipped,
-            "accuracy": self.accuracy,
-            "answer_rate": self.answer_rate,
-            "grounding_precision": self.grounding_precision,
-            "rejected_citations": self.rejected_citations,
-        }
+        return asdict(self)
 
 
 def parse_item(raw: dict[str, Any]) -> DatasetItem:
@@ -163,18 +156,14 @@ def run_eval(
             answer, trace = baseline_retrieve_read(
                 item_kg, embedder, backend, query, k=config.top_k,
             )
-        elif query.task == "multiple_choice":
-            result = answer_multiple_choice(item_kg, embedder, backend, query, config)
-            answer, trace = result.answer, result.trace
-            rejected += result.audit.rejected_citations
         else:
-            result = answer_query(item_kg, embedder, backend, query, config)
+            answer_fn = answer_multiple_choice if query.options else answer_query
+            result = answer_fn(item_kg, embedder, backend, query, config)
             answer, trace = result.answer, result.trace
             rejected += result.audit.rejected_citations
 
         trace_path = out_dir / f"trace_{item.id}.json"
-        trace.save(trace_path)
-        report = verify_trace(item_kg, trace.to_dict())
+        report = verify_trace(item_kg, trace.save(trace_path))
         precisions.append(report.grounding_precision)
 
         ok = is_correct(item, answer.value, answer.selected_option)

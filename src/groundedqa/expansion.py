@@ -114,7 +114,7 @@ def expand(
         available = sorted(set(subgraph.triple_ids) - consumed)
         picked = top_k_similar(embedder, serialize_axiom(axiom), kg, available, k)
         consumed.update(picked)
-        return subgraph, PrunedTripleSet(triple_ids=picked, consumed=consumed)
+        return subgraph, PrunedTripleSet(triple_ids=picked)
     anchors.add(missing.resolved, "mei")
     extra = kg.one_hop_subgraph([missing.resolved])
     grown = Subgraph(

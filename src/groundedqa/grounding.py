@@ -193,23 +193,24 @@ def evaluate_axiom(
     axiom: Axiom,
     groundings: Mapping[tuple[int, int], PremiseGrounding],
 ) -> str:
-    """Three-valued aggregation: AND within clauses, OR across clauses."""
-    clause_values = []
+    """Three-valued aggregation: AND within clauses, OR across clauses.
+
+    With False < Unknown < True, a clause takes the least of its premises'
+    values and the axiom the greatest of its clauses' values. Every premise
+    is checked, so a missing grounding raises even after the value is set.
+    """
+    violated, unknown = GroundingStatus.VIOLATED, GroundingStatus.UNKNOWN
+    value = "False"
     for ci, clause in enumerate(axiom.clauses):
-        statuses = []
+        clause_value = "True"
         for pi in range(len(clause)):
             g = groundings.get((ci, pi))
             if g is None:
                 raise ValueError(f"missing grounding for premise ({ci}, {pi})")
-            statuses.append(g.status)
-        if any(s is GroundingStatus.VIOLATED for s in statuses):
-            clause_values.append("False")
-        elif all(s is GroundingStatus.SATISFIED for s in statuses):
-            clause_values.append("True")
-        else:
-            clause_values.append("Unknown")
-    if any(v == "True" for v in clause_values):
-        return "True"
-    if all(v == "False" for v in clause_values):
-        return "False"
-    return "Unknown"
+            if g.status is violated:
+                clause_value = "False"
+            elif g.status is unknown and clause_value == "True":
+                clause_value = "Unknown"
+        if clause_value == "True" or (clause_value == "Unknown" and value == "False"):
+            value = clause_value
+    return value

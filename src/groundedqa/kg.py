@@ -136,23 +136,13 @@ class KnowledgeGraph:
         """A new KG with extra triples appended (the original is untouched)."""
         triples = [(t.head, t.relation, t.tail) for t in self.triples]
         triples.extend(extra_triples)
-        labels: list[tuple[str, str]] = []
-        seen_primary = set()
-        for entity_id, label in self._label_rows():
-            labels.append((entity_id, label))
-            seen_primary.add(entity_id)
-        labels.extend(extra_labels)
-        return KnowledgeGraph(triples, labels)
-
-    def _label_rows(self) -> list[tuple[str, str]]:
-        rows = []
-        for entity_id, label in self.labels.items():
-            rows.append((entity_id, label))
+        labels = list(self.labels.items())
         for surface, ids in self._aliases.items():
             for entity_id in ids:
                 if normalize(self.labels.get(entity_id, "")) != surface:
-                    rows.append((entity_id, surface))
-        return rows
+                    labels.append((entity_id, surface))
+        labels.extend(extra_labels)
+        return KnowledgeGraph(triples, labels)
 
     # -- lookups ---------------------------------------------------------
 

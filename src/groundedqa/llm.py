@@ -84,9 +84,6 @@ class ScriptedBackend:
             if len(lines) - self._cursor.get(role, 0) > 0
         }
 
-    def calls_for(self, role: str) -> int:
-        return sum(1 for r, _, _ in self.call_log if r == role)
-
 
 @dataclass
 class HttpConfig:

@@ -91,10 +91,9 @@ class HashedEmbedder:
 
 @dataclass
 class PrunedTripleSet:
-    """Triples surfaced for one pruning round, plus the branch's running total."""
+    """Triples surfaced for one pruning round."""
 
     triple_ids: list[int]
-    consumed: set[int]
 
 
 def verbalize(kg: KnowledgeGraph, triple: Triple) -> str:
@@ -188,4 +187,4 @@ def prune_subgraph(
     llm_ids = llm_select_triples(backend, kg, axiom, window, audit) if window else set()
     picked = sorted(set(top_ids) | llm_ids)
     consumed.update(picked)
-    return PrunedTripleSet(triple_ids=picked, consumed=consumed)
+    return PrunedTripleSet(triple_ids=picked)

@@ -4,24 +4,20 @@ Breadth iterates over surfaced axioms, depth over evidence expansions, and
 for multiple choice an outer loop walks the options in order. A True or
 False evaluation ends the search immediately (for multiple choice, False
 ends only that option); exhausting every branch yields Unknown rather than
-a guess.
+a guess. Each branch searches on its own ``Branch`` state, so evidence that
+one branch's expansions add never reaches another branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Optional
 
 from .axioms import Axiom, AxiomSyntaxError, parse_axiom, serialize_axiom, serialize_premise
 from .entities import AnchorEntitySet, Query, anchor_entities
 from .expansion import ExpansionFailure, expand, identify_missing
-from .grounding import (
-    Answer,
-    GroundingStatus,
-    PremiseGrounding,
-    evaluate_axiom,
-    ground_premise,
-)
+from .grounding import Answer, GroundingStatus, PremiseGrounding, evaluate_axiom, ground_premise
 from .kg import KnowledgeGraph, Subgraph
 from .llm import LlmRequest, parse_axiom_block
 from .prompts import render_prompt
@@ -45,14 +41,6 @@ class SearchConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "max_breadth": self.max_breadth,
-            "max_depth": self.max_depth,
-            "top_k": self.top_k,
-            "llm_window": self.llm_window,
-        }
-
 
 @dataclass
 class QueryResult:
@@ -60,6 +48,21 @@ class QueryResult:
     trace: ReasoningTrace
     audit: Audit
     branches_used: int
+
+
+@dataclass
+class Branch:
+    """Search state of one axiom branch.
+
+    A branch starts from its own copy of the option's linked anchors and
+    1-hop subgraph; MEI expansions grow only this copy.
+    """
+
+    anchors: AnchorEntitySet
+    subgraph: Subgraph
+    consumed: set[int] = field(default_factory=set)
+    groundings: dict[tuple[int, int], PremiseGrounding] = field(default_factory=dict)
+    depth: int = 0
 
 
 def surface_axiom(
@@ -88,18 +91,6 @@ def surface_axiom(
         raise SurfacingError(f"unparseable AXIOM block: {exc}") from exc
 
 
-def _axiom_payload(axiom: Axiom, branch: int, option: Optional[int]) -> dict:
-    return {
-        "option": option,
-        "branch": branch,
-        "natural_text": axiom.natural_text,
-        "axiom_text": serialize_axiom(axiom),
-        "clauses": [
-            [serialize_premise(p) for p in clause] for clause in axiom.clauses
-        ],
-    }
-
-
 def _run_option(
     kg: KnowledgeGraph,
     embedder: Embedder,
@@ -108,37 +99,29 @@ def _run_option(
     config: SearchConfig,
     trace: ReasoningTrace,
     audit: Audit,
-    option: Optional[str] = None,
-    option_index: Optional[int] = None,
+    option: Optional[str],
+    option_index: Optional[int],
 ) -> tuple[str, int]:
     """Evaluate one option (or the whole query); returns (value, branches_used)."""
+
+    def record(kind: str, payload: dict, branch: int = 0, depth: int = 0) -> None:
+        trace.record(kind, {"option": option_index, **payload}, branch=branch, depth=depth)
+
     anchors, lexical, llm_names, unresolved = anchor_entities(kg, backend, query, audit)
-    trace.record(
-        "EntityLinking",
-        {
-            "option": option_index,
-            "lexical": lexical,
-            "llm_names": llm_names,
-            "unresolved": unresolved,
-            "anchors": [
-                {"id": e, "provenance": anchors.provenance[e]} for e in anchors.entities
-            ],
-        },
-    )
+    record("EntityLinking", {
+        "lexical": lexical,
+        "llm_names": llm_names,
+        "unresolved": unresolved,
+        "anchors": [{"id": e, "provenance": anchors.provenance[e]} for e in anchors.entities],
+    })
     subgraph = kg.one_hop_subgraph(anchors.entities)
-    trace.record(
-        "SubgraphExtraction",
-        {
-            "option": option_index,
-            "anchor_count": len(anchors.entities),
-            "triple_ids": sorted(subgraph.triple_ids),
-        },
-    )
+    record("SubgraphExtraction", {
+        "anchor_count": len(anchors.entities),
+        "triple_ids": sorted(subgraph.triple_ids),
+    })
 
     prior_axioms: list[Axiom] = []
-    branches_used = 0
     for branch in range(1, config.max_breadth + 1):
-        branches_used += 1
         try:
             axiom = surface_axiom(backend, query, option, prior_axioms)
         except SurfacingError as exc:
@@ -146,102 +129,93 @@ def _run_option(
             audit.event(f"axiom surfacing failed on branch {branch}: {exc}")
             continue
         prior_axioms.append(axiom)
-        trace.record("AxiomSurfacing", _axiom_payload(axiom, branch, option_index), branch=branch)
-
-        consumed: set[int] = set()
-        pruned = prune_subgraph(
-            embedder, backend, kg, axiom, subgraph, config.top_k,
-            consumed, audit, config.llm_window,
+        record("AxiomSurfacing", {
+            "branch": branch,
+            "natural_text": axiom.natural_text,
+            "axiom_text": serialize_axiom(axiom),
+            "clauses": [[serialize_premise(p) for p in clause] for clause in axiom.clauses],
+        }, branch)
+        state = Branch(
+            AnchorEntitySet(list(anchors.entities), dict(anchors.provenance)), subgraph,
         )
-        trace.record(
-            "Pruning",
-            {
-                "option": option_index,
-                "new_ids": pruned.triple_ids,
-                "cumulative_ids": sorted(consumed),
-            },
-            branch=branch,
+        value = _run_branch(
+            kg, embedder, backend, query, config, audit, axiom, branch, state, record,
         )
+        if value != "Unknown":
+            return value, branch
+    return "Unknown", config.max_breadth
 
-        groundings: dict[tuple[int, int], PremiseGrounding] = {}
-        depth = 0
-        branch_anchors = anchors
-        branch_subgraph = subgraph
-        while True:
-            for ci, pi, premise in axiom.premises():
-                prior = groundings.get((ci, pi))
-                if prior is not None and prior.status is not GroundingStatus.UNKNOWN:
-                    continue  # settled verdicts and their citations stand
-                g = ground_premise(kg, backend, premise, consumed, audit)
-                groundings[(ci, pi)] = g
-                trace.record(
-                    "PremiseGrounding",
-                    {
-                        "option": option_index,
-                        "premise": serialize_premise(premise),
-                        "clause_index": ci,
-                        "premise_index": pi,
-                        "status": g.status.value,
-                        "method": g.method,
-                        "evidence": sorted(g.evidence),
-                    },
-                    branch=branch,
-                    depth=depth,
-                )
-            value = evaluate_axiom(axiom, groundings)
-            trace.record(
-                "Evaluation",
-                {"option": option_index, "value": value},
-                branch=branch,
-                depth=depth,
+
+def _run_branch(
+    kg: KnowledgeGraph,
+    embedder: Embedder,
+    backend,
+    query: Query,
+    config: SearchConfig,
+    audit: Audit,
+    axiom: Axiom,
+    branch: int,
+    state: Branch,
+    record,
+) -> str:
+    """Prune, then ground → evaluate → MEI → expand until a verdict or the budget."""
+    pruned = prune_subgraph(
+        embedder, backend, kg, axiom, state.subgraph, config.top_k,
+        state.consumed, audit, config.llm_window,
+    )
+    record("Pruning", {
+        "new_ids": pruned.triple_ids,
+        "cumulative_ids": sorted(state.consumed),
+    }, branch)
+    while True:
+        for ci, pi, premise in axiom.premises():
+            prior = state.groundings.get((ci, pi))
+            if prior is not None and prior.status is not GroundingStatus.UNKNOWN:
+                continue  # settled verdicts and their citations stand
+            g = ground_premise(kg, backend, premise, state.consumed, audit)
+            state.groundings[(ci, pi)] = g
+            record("PremiseGrounding", {
+                "premise": serialize_premise(premise),
+                "clause_index": ci,
+                "premise_index": pi,
+                "status": g.status.value,
+                "method": g.method,
+                "evidence": sorted(g.evidence),
+            }, branch, state.depth)
+        value = evaluate_axiom(axiom, state.groundings)
+        record("Evaluation", {"value": value}, branch, state.depth)
+        if value != "Unknown" or state.depth >= config.max_depth:
+            return value
+        unsatisfied = [
+            p for (ci, pi, p) in axiom.premises()
+            if state.groundings[(ci, pi)].status is GroundingStatus.UNKNOWN
+        ]
+        try:
+            missing = identify_missing(
+                kg, backend, query.text, axiom, state.subgraph,
+                state.consumed, unsatisfied, state.anchors, audit,
             )
-            if value != "Unknown":
-                return value, branches_used
-            if depth >= config.max_depth:
-                break
-            unsatisfied = [
-                p for (ci, pi, p) in axiom.premises()
-                if groundings[(ci, pi)].status is GroundingStatus.UNKNOWN
-            ]
-            try:
-                missing = identify_missing(
-                    kg, backend, query.text, axiom, branch_subgraph,
-                    consumed, unsatisfied, branch_anchors, audit,
-                )
-            except ExpansionFailure as exc:
-                audit.event(f"branch {branch} ended at depth {depth}: {exc}")
-                break
-            trace.record(
-                "MEI",
-                {
-                    "option": option_index,
-                    "missing": missing.description,
-                    "entity_name": missing.entity_name,
-                    "resolved": missing.resolved,
-                    "already_anchor": missing.already_anchor,
-                },
-                branch=branch,
-                depth=depth,
-            )
-            before = set(branch_subgraph.triple_ids)
-            branch_subgraph, pruned = expand(
-                kg, branch_anchors, branch_subgraph, missing, embedder,
-                backend, axiom, config.top_k, consumed, audit, config.llm_window,
-            )
-            depth += 1
-            trace.record(
-                "Expansion",
-                {
-                    "option": option_index,
-                    "added_entity": missing.resolved,
-                    "new_subgraph_ids": sorted(set(branch_subgraph.triple_ids) - before),
-                    "new_pruned_ids": pruned.triple_ids,
-                    "cumulative_ids": sorted(consumed),
-                },
-                branch=branch,
-                depth=depth,
-            )
-    return "Unknown", branches_used
+        except ExpansionFailure as exc:
+            audit.event(f"branch {branch} ended at depth {state.depth}: {exc}")
+            return "Unknown"
+        record("MEI", {
+            "missing": missing.description,
+            "entity_name": missing.entity_name,
+            "resolved": missing.resolved,
+            "already_anchor": missing.already_anchor,
+        }, branch, state.depth)
+        before = state.subgraph.triple_ids
+        state.subgraph, pruned = expand(
+            kg, state.anchors, state.subgraph, missing, embedder,
+            backend, axiom, config.top_k, state.consumed, audit, config.llm_window,
+        )
+        state.depth += 1
+        record("Expansion", {
+            "added_entity": missing.resolved,
+            "new_subgraph_ids": sorted(state.subgraph.triple_ids - before),
+            "new_pruned_ids": pruned.triple_ids,
+            "cumulative_ids": sorted(state.consumed),
+        }, branch, state.depth)
 
 
 def answer_query(
@@ -252,15 +226,7 @@ def answer_query(
     config: Optional[SearchConfig] = None,
 ) -> QueryResult:
     """Answer a yes/no or claim query with a verifiable trace."""
-    config = config or SearchConfig()
-    trace = ReasoningTrace(query=_query_dict(query), config=config.to_dict())
-    audit = Audit()
-    value, branches = _run_option(kg, embedder, backend, query, config, trace, audit)
-    answer = Answer(value=value)
-    trace.record("FinalAnswer", {"value": value, "selected_option": None})
-    trace.answer = {"value": value, "selected_option": None}
-    trace.audit = audit.counters()
-    return QueryResult(answer=answer, trace=trace, audit=audit, branches_used=branches)
+    return _answer(kg, embedder, backend, query, config, multiple_choice=False)
 
 
 def answer_multiple_choice(
@@ -273,33 +239,38 @@ def answer_multiple_choice(
     """Evaluate options in order; the first fully satisfied option is selected."""
     if not query.options:
         raise ValueError("multiple choice requires options")
+    return _answer(kg, embedder, backend, query, config, multiple_choice=True)
+
+
+def _answer(
+    kg: KnowledgeGraph,
+    embedder: Embedder,
+    backend,
+    query: Query,
+    config: Optional[SearchConfig],
+    multiple_choice: bool,
+) -> QueryResult:
+    """Run the query, or each option in order, then finalise answer and trace."""
     config = config or SearchConfig()
-    trace = ReasoningTrace(query=_query_dict(query), config=config.to_dict())
-    audit = Audit()
-    branches = 0
-    selected: Optional[int] = None
-    for idx, option in enumerate(query.options):
-        value, used = _run_option(
-            kg, embedder, backend, query, config, trace, audit,
-            option=option, option_index=idx,
-        )
-        branches += used
-        trace.record("OptionResult", {"option": idx, "value": value})
-        if value == "True":
-            selected = idx
-            break
-    if selected is not None:
-        answer = Answer(value="True", selected_option=selected)
-    else:
-        answer = Answer(value="Unknown")
-    trace.record(
-        "FinalAnswer",
-        {"value": answer.value, "selected_option": answer.selected_option},
+    trace = ReasoningTrace(
+        query={"text": query.text, "options": list(query.options), "task": query.task},
+        config=asdict(config),
     )
+    audit = Audit()
+    run_option = partial(_run_option, kg, embedder, backend, query, config, trace, audit)
+    if multiple_choice:
+        answer, branches = Answer(value="Unknown"), 0
+        for idx, option in enumerate(query.options):
+            value, used = run_option(option, idx)
+            branches += used
+            trace.record("OptionResult", {"option": idx, "value": value})
+            if value == "True":
+                answer = Answer(value="True", selected_option=idx)
+                break
+    else:
+        value, branches = run_option(None, None)
+        answer = Answer(value=value)
     trace.answer = {"value": answer.value, "selected_option": answer.selected_option}
+    trace.record("FinalAnswer", dict(trace.answer))
     trace.audit = audit.counters()
     return QueryResult(answer=answer, trace=trace, audit=audit, branches_used=branches)
-
-
-def _query_dict(query: Query) -> dict:
-    return {"text": query.text, "options": list(query.options), "task": query.task}

@@ -99,11 +99,18 @@ class ReasoningTrace:
         }
 
     def to_json(self) -> str:
-        # Sorted keys and fixed separators keep serialization byte-stable.
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False)
+        return _dumps(self.to_dict())
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+    def save(self, path: str | Path) -> dict[str, Any]:
+        """Write the trace document to ``path`` and return the document written."""
+        doc = self.to_dict()
+        Path(path).write_text(_dumps(doc) + "\n", encoding="utf-8")
+        return doc
+
+
+def _dumps(doc: dict[str, Any]) -> str:
+    # Sorted keys and fixed separators keep serialization byte-stable.
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 def load_trace(path: str | Path) -> dict[str, Any]:

@@ -135,16 +135,3 @@ def test_unreachable_http_backend_is_transport_error(tmp_path, capsys):
     ])
     assert code == EXIT_TRANSPORT
     capsys.readouterr()
-
-
-def test_seed_docs_file_is_consumed(tmp_path, capsys):
-    triples, labels, script = write_adult_files(tmp_path)
-    seeds = tmp_path / "seeds.txt"
-    seeds.write_text("Virginia Raggi age 45\n\npolitician facts\n", encoding="utf-8")
-    code = main([
-        "ask", *scripted_args(triples, labels, script),
-        "--query", ADULT_QUERY, "--seed-docs", str(seeds),
-        "--trace-out", str(tmp_path / "t.json"),
-    ])
-    assert code == EXIT_OK
-    capsys.readouterr()

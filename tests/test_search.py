@@ -4,6 +4,7 @@ import pytest
 
 from groundedqa import (
     HashedEmbedder,
+    KnowledgeGraph,
     Query,
     ScriptedBackend,
     SearchConfig,
@@ -201,3 +202,26 @@ def test_trace_carries_query_config_and_audit():
     assert set(doc["audit"]) == {
         "rejected_citations", "unresolved_names", "parse_failures",
     }
+
+
+def test_mei_entity_of_one_branch_does_not_leak_into_the_next():
+    # Branch 1 expands to Beta and still ends Unknown. Branch 2 must pull
+    # Beta's triples in itself, rather than treat Beta as already anchored.
+    kg = KnowledgeGraph(
+        triples=[("A", "knows", "B"), ("B", "age", "20")],
+        labels=[("A", "Alpha"), ("B", "Beta")],
+    )
+    script = {
+        "entity_extract": ["ENTITIES: Alpha"],
+        "axiom": ["AXIOM: foo(B)", "AXIOM: age(B) >= 18"],
+        "triple_select": ["SELECT: 1"] * 4,
+        "judge": ["STATUS: UNKNOWN"] * 4,
+        "mei": ["MISSING: facts about Beta\nENTITY: Beta"] * 2,
+    }
+    config = SearchConfig(max_breadth=2, max_depth=1)
+    result, _ = run(kg, script, "Does Alpha know an adult?", config)
+    assert result.answer.value == "True"
+    assert result.branches_used == 2
+    mei = [s for s in result.trace.steps if s.kind == "MEI"]
+    assert [(s.branch, s.payload["already_anchor"]) for s in mei] == [(1, False), (2, False)]
+    assert verify_trace(kg, result.trace.to_dict()).ok

@@ -8,13 +8,25 @@ from groundedqa import (
     Query,
     ReasoningTrace,
     ScriptedBackend,
+    answer_multiple_choice,
     answer_query,
     load_trace,
     verify_trace,
 )
 from groundedqa.trace import SCHEMA_VERSION, TraceSchemaError
 
-from fixture_data import ADULT_KG, ADULT_QUERY, ADULT_SCRIPT
+from fixture_data import (
+    ADULT_KG,
+    ADULT_QUERY,
+    ADULT_SCRIPT,
+    PREFERENCE_KG,
+    PREFERENCE_OPTIONS,
+    PREFERENCE_QUERY,
+    PREFERENCE_SCRIPT,
+    TWO_HOP_KG,
+    TWO_HOP_QUERY,
+    TWO_HOP_SCRIPT,
+)
 
 
 def adult_doc():
@@ -53,6 +65,25 @@ def test_save_load_round_trip(tmp_path):
     result = answer_query(ADULT_KG, HashedEmbedder(), backend, Query(text=ADULT_QUERY))
     result.trace.save(trace_file)
     assert load_trace(trace_file) == doc
+
+
+@pytest.mark.parametrize("scenario", ["single_hop", "two_hop", "multiple_choice"])
+def test_save_returns_the_document_it_wrote(tmp_path, scenario):
+    if scenario == "multiple_choice":
+        backend = ScriptedBackend(copy.deepcopy(PREFERENCE_SCRIPT))
+        query = Query(PREFERENCE_QUERY, PREFERENCE_OPTIONS, "multiple_choice")
+        result = answer_multiple_choice(PREFERENCE_KG, HashedEmbedder(), backend, query)
+    else:
+        kg, script, text = {
+            "single_hop": (ADULT_KG, ADULT_SCRIPT, ADULT_QUERY),
+            "two_hop": (TWO_HOP_KG, TWO_HOP_SCRIPT, TWO_HOP_QUERY),
+        }[scenario]
+        backend = ScriptedBackend(copy.deepcopy(script))
+        result = answer_query(kg, HashedEmbedder(), backend, Query(text=text))
+    path = tmp_path / "t.json"
+    doc = result.trace.save(path)
+    assert doc == json.loads(path.read_text(encoding="utf-8"))
+    assert doc == result.trace.to_dict()
 
 
 def test_serialization_is_byte_stable():
