@@ -55,6 +55,8 @@ class Premise:
             raise ValueError("predicate premise cannot carry op/comparand")
         if self.kind == "function" and (not self.op or self.comparand is None):
             raise ValueError("function premise requires op and comparand")
+        if self.op and self.op not in OPERATORS:
+            raise ValueError(f"unknown operator {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,7 @@ def serialize_premise(p: Premise) -> str:
     base = f"{p.name}({p.subject})"
     if p.kind == "predicate":
         return base
-    if p.comparand_kind == "string":
-        lit = f'"{p.comparand}"'
-    elif p.comparand_kind == "number":
-        lit = str(p.comparand)
-    else:
-        lit = str(p.comparand)
+    lit = f'"{p.comparand}"' if p.comparand_kind == "string" else str(p.comparand)
     return f"{base} {p.op} {lit}"
 
 

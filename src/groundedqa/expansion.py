@@ -1,22 +1,22 @@
 """Missing Evidence Identification and branch state expansion.
 
 When grounding leaves premises Unknown, the LLM names what evidence is
-missing and which entity would provide it. A new entity grows the anchor
-set and subgraph before re-pruning; an entity that is already an anchor
-just surfaces its next batch of unconsumed triples.
+missing and which entity would provide it. A new entity grows the branch's
+anchor set and subgraph before re-pruning; an entity that is already an
+anchor just surfaces its next batch of unconsumed triples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 from .axioms import Axiom, serialize_axiom, serialize_premise
 from .entities import AnchorEntitySet
+from .grounding import PremiseGrounding
 from .kg import KnowledgeGraph, Subgraph
 from .llm import LlmRequest, parse_mei
 from .prompts import number_lines, render_prompt
-from .retrieval import Embedder, PrunedTripleSet, prune_subgraph, top_k_similar, verbalize
+from .retrieval import Embedder, prune_subgraph, top_k_similar, verbalize
 from .trace import Audit
 
 
@@ -24,11 +24,26 @@ class ExpansionFailure(RuntimeError):
     """MEI could not produce a usable next entity; the branch ends here."""
 
 
+@dataclass
+class Branch:
+    """Search state of one axiom branch, and its only owner.
+
+    A branch starts from its own copy of the option's linked anchors and
+    1-hop subgraph; ``expand`` grows only this copy, in place.
+    """
+
+    anchors: AnchorEntitySet
+    subgraph: Subgraph
+    consumed: set[int] = field(default_factory=set)
+    groundings: dict[tuple[int, int], PremiseGrounding] = field(default_factory=dict)
+    depth: int = 0
+
+
 @dataclass(frozen=True)
 class MissingEvidence:
     description: str
     entity_name: str
-    resolved: Optional[str]
+    resolved: str
     already_anchor: bool
 
 
@@ -37,20 +52,19 @@ def identify_missing(
     backend,
     query_text: str,
     axiom: Axiom,
-    subgraph: Subgraph,
-    current_triples: set[int],
+    branch: Branch,
     unsatisfied: list,
-    anchors: AnchorEntitySet,
     audit: Audit,
 ) -> MissingEvidence:
     """Ask the MEI module for the missing evidence and next anchor entity.
 
-    The entity name is resolved against KG labels/aliases first, then against
-    raw ids; candidates appearing as tails of the current subgraph win ties.
-    Unparseable responses and unresolvable names fail the expansion.
+    The LLM sees the branch's consumed triples. The entity name is resolved
+    against KG labels/aliases first, then against raw ids; candidates
+    appearing as tails of the branch's subgraph win ties. Unparseable
+    responses and unresolvable names fail the expansion.
     """
     numbered = number_lines(
-        [verbalize(kg, kg.triple(tid)) for tid in sorted(current_triples)]
+        [verbalize(kg, kg.triple(tid)) for tid in sorted(branch.consumed)]
     )
     prompt = render_prompt(
         "mei",
@@ -77,7 +91,7 @@ def identify_missing(
         raise ExpansionFailure(f"MEI entity {entity_name!r} does not resolve")
     subgraph_tails = {
         kg.tail_entity(kg.triple(tid))
-        for tid in subgraph.triple_ids
+        for tid in branch.subgraph.triple_ids
     }
     preferred = [c for c in candidates if c in subgraph_tails]
     resolved = preferred[0] if preferred else candidates[0]
@@ -85,43 +99,36 @@ def identify_missing(
         description=description,
         entity_name=entity_name,
         resolved=resolved,
-        already_anchor=resolved in anchors.provenance,
+        already_anchor=resolved in branch.anchors.provenance,
     )
 
 
 def expand(
     kg: KnowledgeGraph,
-    anchors: AnchorEntitySet,
-    subgraph: Subgraph,
+    branch: Branch,
     missing: MissingEvidence,
     embedder: Embedder,
     backend,
     axiom: Axiom,
     k: int,
-    consumed: set[int],
     audit: Audit,
     llm_window: int,
-) -> tuple[Subgraph, PrunedTripleSet]:
-    """Grow the branch state per the missing-evidence verdict.
+) -> list[int]:
+    """Grow the branch one level deeper, in place; returns the newly pruned ids.
 
     Already-anchored entities yield their next top-k unconsumed triples; a
     new entity joins the anchor set, its 1-hop triples join the subgraph,
     and a full pruning round runs over the grown subgraph.
     """
-    if missing.resolved is None:
-        raise ExpansionFailure("cannot expand without a resolved entity")
+    branch.depth += 1
     if missing.already_anchor:
-        available = sorted(set(subgraph.triple_ids) - consumed)
+        available = sorted(branch.subgraph.triple_ids - branch.consumed)
         picked = top_k_similar(embedder, serialize_axiom(axiom), kg, available, k)
-        consumed.update(picked)
-        return subgraph, PrunedTripleSet(triple_ids=picked)
-    anchors.add(missing.resolved, "mei")
+        branch.consumed.update(picked)
+        return picked
+    branch.anchors.add(missing.resolved, "mei")
     extra = kg.one_hop_subgraph([missing.resolved])
-    grown = Subgraph(
-        triple_ids=subgraph.triple_ids | extra.triple_ids,
-        anchor_set=subgraph.anchor_set | {missing.resolved},
+    branch.subgraph = Subgraph(branch.subgraph.triple_ids | extra.triple_ids)
+    return prune_subgraph(
+        embedder, backend, kg, axiom, branch.subgraph, k, branch.consumed, audit, llm_window,
     )
-    pruned = prune_subgraph(
-        embedder, backend, kg, axiom, grown, k, consumed, audit, llm_window,
-    )
-    return grown, pruned

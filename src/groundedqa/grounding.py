@@ -11,8 +11,8 @@ whenever neither truth value is forced.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Iterable, Mapping, Optional
 
 from .axioms import Axiom, Premise, serialize_premise
@@ -62,11 +62,21 @@ def _relation_matches(premise_name: str, relation: str) -> bool:
     return normalize(premise_name.replace("_", " ")) == normalize(relation.replace("_", " "))
 
 
+_NUMERIC_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _compare(kg: KnowledgeGraph, triple: Triple, premise: Premise) -> Optional[bool]:
     """Evaluate the premise operator on one triple's tail, or None if undefined."""
     tail_num = parse_number(triple.tail)
     if premise.comparand_kind == "number" and tail_num is not None:
-        return _apply_op(premise.op, tail_num, premise.comparand)
+        return _NUMERIC_OPS[premise.op](tail_num, premise.comparand)
     if premise.op not in ("=", "!="):
         return None  # order operators only apply to numerics
     # String (dis)equality on normalized forms; entity tails also match by label.
@@ -83,20 +93,6 @@ def _compare(kg: KnowledgeGraph, triple: Triple, premise: Premise) -> Optional[b
         tail_forms.add(normalize(kg.label_of(tail_entity)))
     equal = bool(tail_forms & comparand_forms)
     return equal if premise.op == "=" else not equal
-
-
-def _apply_op(op: str, left: Decimal, right: Decimal) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
 
 
 def ground_premise_symbolic(

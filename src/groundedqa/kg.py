@@ -54,10 +54,9 @@ class Triple:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """Triples whose head lies in the anchor set."""
+    """Triples whose head lies in an anchor set."""
 
     triple_ids: frozenset[int]
-    anchor_set: frozenset[str]
 
 
 class KnowledgeGraph:
@@ -172,11 +171,10 @@ class KnowledgeGraph:
 
     def one_hop_subgraph(self, anchors: Iterable[str]) -> Subgraph:
         """All triples whose head is in the anchor set."""
-        anchor_set = frozenset(anchors)
         ids: set[int] = set()
-        for a in anchor_set:
+        for a in anchors:
             ids.update(self.head_index.get(a, ()))
-        return Subgraph(triple_ids=frozenset(ids), anchor_set=anchor_set)
+        return Subgraph(triple_ids=frozenset(ids))
 
 
 def _read_lines(path: str | Path) -> Iterable[str]:

@@ -9,6 +9,7 @@ order.
 
 from __future__ import annotations
 
+from string import Formatter
 from typing import Mapping
 
 
@@ -16,7 +17,8 @@ class PromptContextError(KeyError):
     """A template field required by the role is missing from the context."""
 
 
-_ENTITY_EXTRACT = """\
+_TEMPLATES = {
+    "entity_extract": """\
 Identify the named entities that the question or claim is about. List only \
 entities that facts could be looked up for; ignore generic concepts.
 
@@ -28,9 +30,8 @@ Respond with exactly one line in the form:
 ENTITIES: name; name; ...
 
 Question: {query}
-"""
-
-_AXIOM = """\
+""",
+    "axiom": """\
 State one commonsense rule that would decide the answer to the query, as a \
 single sentence followed by its structured form. The structured form is a \
 disjunction of conjunctive premises: predicates `name(Entity_Ref)` and \
@@ -46,9 +47,8 @@ AXIOM: is_a_girl_from_Latin_America(Virginia_Raggi) AND age(Virginia_Raggi) <= 1
 Query: {query}
 {option_section}{prior_section}Respond with the sentence, then one line:
 AXIOM: <structured form>
-"""
-
-_TRIPLE_SELECT = """\
+""",
+    "triple_select": """\
 From the numbered facts below, pick the ones relevant to checking the rule. \
 Respond with exactly one line in the form `SELECT: i,j,...` (1-based indices, \
 possibly empty).
@@ -59,9 +59,8 @@ Facts:
 {numbered_triples}
 
 SELECT:
-"""
-
-_JUDGE = """\
+""",
+    "judge": """\
 Decide whether the premise is SATISFIED, VIOLATED, or UNKNOWN given only the \
 numbered facts below. Cite the fact numbers that justify a SATISFIED or \
 VIOLATED verdict; without a citation the verdict cannot be accepted. If the \
@@ -82,9 +81,8 @@ Facts:
 Respond with two lines:
 STATUS: SATISFIED|VIOLATED|UNKNOWN
 EVIDENCE: i,j,...
-"""
-
-_MEI = """\
+""",
+    "mei": """\
 The premises below could not be decided from the current facts. Name what \
 evidence is missing and which single entity's facts would provide it. The \
 entity must be one mentioned in the query or in the facts below.
@@ -100,9 +98,8 @@ Current facts:
 Respond with two lines:
 MISSING: <what is missing>
 ENTITY: <entity name>
-"""
-
-_BASELINE = """\
+""",
+    "baseline": """\
 Answer the question using the facts below. Reply with a short direct answer \
 starting with Yes or No, or say "I don't know".
 
@@ -111,16 +108,18 @@ Facts:
 
 Question: {query}
 Answer:
-"""
-
-_REQUIRED_FIELDS = {
-    "entity_extract": ("query",),
-    "axiom": ("query", "prior_axioms"),
-    "triple_select": ("axiom_text", "numbered_triples"),
-    "judge": ("premise_text", "numbered_triples"),
-    "mei": ("query", "axiom_text", "unsatisfied", "numbered_triples"),
-    "baseline": ("query", "numbered_triples"),
+""",
 }
+
+# The axiom role builds these two template fields from its optional "option"
+# and required "prior_axioms" context fields; every other field is required.
+_AXIOM_SECTIONS = ("option_section", "prior_section")
+
+_CONTEXT_FIELDS = {
+    role: [f for _, f, _, _ in Formatter().parse(template) if f and f not in _AXIOM_SECTIONS]
+    for role, template in _TEMPLATES.items()
+}
+_CONTEXT_FIELDS["axiom"].append("prior_axioms")
 
 
 def number_lines(items: list[str]) -> str:
@@ -128,56 +127,30 @@ def number_lines(items: list[str]) -> str:
     return "\n".join(f"{i}. {item}" for i, item in enumerate(items, start=1))
 
 
+def _axiom_sections(context: Mapping[str, object]) -> dict[str, str]:
+    option = context.get("option")
+    prior = list(context["prior_axioms"])
+    prior_section = ""
+    if prior:
+        prior_lines = "\n".join(f"- {a}" for a in prior)
+        prior_section = (
+            "Do not repeat any of these previously tried rules; "
+            f"produce a different one:\n{prior_lines}\n"
+        )
+    return {
+        "option_section": f"Option under consideration: {option}\n" if option else "",
+        "prior_section": prior_section,
+    }
+
+
 def render_prompt(role: str, context: Mapping[str, object]) -> str:
     """Instantiate the template for a role; missing fields are contract errors."""
-    required = _REQUIRED_FIELDS.get(role)
-    if required is None:
+    template = _TEMPLATES.get(role)
+    if template is None:
         raise PromptContextError(f"unknown role {role!r}")
-    for f in required:
+    for f in _CONTEXT_FIELDS[role]:
         if f not in context:
             raise PromptContextError(f"role {role!r} requires context field {f!r}")
-
-    if role == "entity_extract":
-        return _ENTITY_EXTRACT.format(query=context["query"])
-
     if role == "axiom":
-        option = context.get("option")
-        option_section = f"Option under consideration: {option}\n" if option else ""
-        prior = list(context["prior_axioms"])
-        prior_section = ""
-        if prior:
-            prior_lines = "\n".join(f"- {a}" for a in prior)
-            prior_section = (
-                "Do not repeat any of these previously tried rules; "
-                f"produce a different one:\n{prior_lines}\n"
-            )
-        return _AXIOM.format(
-            query=context["query"],
-            option_section=option_section,
-            prior_section=prior_section,
-        )
-
-    if role == "triple_select":
-        return _TRIPLE_SELECT.format(
-            axiom_text=context["axiom_text"],
-            numbered_triples=context["numbered_triples"],
-        )
-
-    if role == "judge":
-        return _JUDGE.format(
-            premise_text=context["premise_text"],
-            numbered_triples=context["numbered_triples"],
-        )
-
-    if role == "mei":
-        return _MEI.format(
-            query=context["query"],
-            axiom_text=context["axiom_text"],
-            unsatisfied=context["unsatisfied"],
-            numbered_triples=context["numbered_triples"],
-        )
-
-    return _BASELINE.format(
-        query=context["query"],
-        numbered_triples=context["numbered_triples"],
-    )
+        context = {**context, **_axiom_sections(context)}
+    return template.format_map(context)

@@ -2,8 +2,9 @@
 
 Relevance is the union of two selectors: the k nearest triple verbalizations
 to the axiom text by Euclidean distance, and an LLM pick over a bounded
-candidate window. The reference embedder is a hashed bag of tokens so
-offline runs and tests are fully deterministic; any remote embedder can be
+candidate window. The embedder interface is ``embed_many(texts)``, one
+row per text; the reference embedder is a hashed bag of tokens so offline
+runs and tests are fully deterministic, and any other embedder can be
 dropped in behind the same interface.
 """
 
@@ -11,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ _U64 = 2**64
 class Embedder(Protocol):
     dimension: int
 
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -89,13 +89,6 @@ class HashedEmbedder:
         return m
 
 
-@dataclass
-class PrunedTripleSet:
-    """Triples surfaced for one pruning round."""
-
-    triple_ids: list[int]
-
-
 def verbalize(kg: KnowledgeGraph, triple: Triple) -> str:
     """Readable one-line form: head label, relation, tail label or literal."""
     tail_entity = kg.tail_entity(triple)
@@ -121,16 +114,11 @@ def top_k_similar(
     candidates = sorted(set(triple_ids) - set(exclude))
     if k == 0 or not candidates:
         return []
-    query_vec = embedder.embed(axiom_text)
-    embed_many = getattr(embedder, "embed_many", None)
+    query_vec = embedder.embed_many([axiom_text])[0]
     dists = []
     for start in range(0, len(candidates), SCORE_CHUNK):
-        texts = [verbalize(kg, kg.triple(tid))
-                 for tid in candidates[start:start + SCORE_CHUNK]]
-        if embed_many is not None:
-            diff = embed_many(texts)
-        else:
-            diff = np.array([embedder.embed(text) for text in texts], dtype=float)
+        diff = embedder.embed_many([verbalize(kg, kg.triple(tid))
+                                    for tid in candidates[start:start + SCORE_CHUNK]])
         diff -= query_vec
         # vecdot reduces each row like the BLAS ddot behind np.linalg.norm on
         # one vector; einsum or (d*d).sum(1) differ in the last bit on some
@@ -177,8 +165,11 @@ def prune_subgraph(
     consumed: set[int],
     audit: Audit,
     llm_window: int = DEFAULT_LLM_WINDOW,
-) -> PrunedTripleSet:
-    """Union of embedding top-k and LLM selection, skipping consumed triples."""
+) -> list[int]:
+    """Union of embedding top-k and LLM selection, skipping consumed triples.
+
+    The picked ids, ascending, are also added to ``consumed``.
+    """
     available = sorted(set(subgraph.triple_ids) - consumed)
     top_ids = top_k_similar(
         embedder, serialize_axiom(axiom), kg, available, k,
@@ -187,4 +178,4 @@ def prune_subgraph(
     llm_ids = llm_select_triples(backend, kg, axiom, window, audit) if window else set()
     picked = sorted(set(top_ids) | llm_ids)
     consumed.update(picked)
-    return PrunedTripleSet(triple_ids=picked)
+    return picked

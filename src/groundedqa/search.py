@@ -10,15 +10,15 @@ one branch's expansions add never reaches another branch.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional
 
 from .axioms import Axiom, AxiomSyntaxError, parse_axiom, serialize_axiom, serialize_premise
 from .entities import AnchorEntitySet, Query, anchor_entities
-from .expansion import ExpansionFailure, expand, identify_missing
-from .grounding import Answer, GroundingStatus, PremiseGrounding, evaluate_axiom, ground_premise
-from .kg import KnowledgeGraph, Subgraph
+from .expansion import Branch, ExpansionFailure, expand, identify_missing
+from .grounding import Answer, GroundingStatus, evaluate_axiom, ground_premise
+from .kg import KnowledgeGraph
 from .llm import LlmRequest, parse_axiom_block
 from .prompts import render_prompt
 from .retrieval import Embedder, prune_subgraph
@@ -48,21 +48,6 @@ class QueryResult:
     trace: ReasoningTrace
     audit: Audit
     branches_used: int
-
-
-@dataclass
-class Branch:
-    """Search state of one axiom branch.
-
-    A branch starts from its own copy of the option's linked anchors and
-    1-hop subgraph; MEI expansions grow only this copy.
-    """
-
-    anchors: AnchorEntitySet
-    subgraph: Subgraph
-    consumed: set[int] = field(default_factory=set)
-    groundings: dict[tuple[int, int], PremiseGrounding] = field(default_factory=dict)
-    depth: int = 0
 
 
 def surface_axiom(
@@ -164,7 +149,7 @@ def _run_branch(
         state.consumed, audit, config.llm_window,
     )
     record("Pruning", {
-        "new_ids": pruned.triple_ids,
+        "new_ids": pruned,
         "cumulative_ids": sorted(state.consumed),
     }, branch)
     while True:
@@ -191,10 +176,7 @@ def _run_branch(
             if state.groundings[(ci, pi)].status is GroundingStatus.UNKNOWN
         ]
         try:
-            missing = identify_missing(
-                kg, backend, query.text, axiom, state.subgraph,
-                state.consumed, unsatisfied, state.anchors, audit,
-            )
+            missing = identify_missing(kg, backend, query.text, axiom, state, unsatisfied, audit)
         except ExpansionFailure as exc:
             audit.event(f"branch {branch} ended at depth {state.depth}: {exc}")
             return "Unknown"
@@ -205,15 +187,13 @@ def _run_branch(
             "already_anchor": missing.already_anchor,
         }, branch, state.depth)
         before = state.subgraph.triple_ids
-        state.subgraph, pruned = expand(
-            kg, state.anchors, state.subgraph, missing, embedder,
-            backend, axiom, config.top_k, state.consumed, audit, config.llm_window,
+        pruned = expand(
+            kg, state, missing, embedder, backend, axiom, config.top_k, audit, config.llm_window,
         )
-        state.depth += 1
         record("Expansion", {
             "added_entity": missing.resolved,
             "new_subgraph_ids": sorted(state.subgraph.triple_ids - before),
-            "new_pruned_ids": pruned.triple_ids,
+            "new_pruned_ids": pruned,
             "cumulative_ids": sorted(state.consumed),
         }, branch, state.depth)
 

@@ -176,7 +176,6 @@ def verify_trace(kg: KnowledgeGraph, doc: dict[str, Any]) -> VerificationReport:
     axioms: dict[tuple[Any, int], list[list[str]]] = {}
     # (option, branch, premise_key) -> (seq, status)
     latest_grounding: dict[tuple[Any, int, str], tuple[int, str]] = {}
-    grounding_history: list[tuple[int, Any, int, str, str]] = []
 
     for step in steps:
         kind = step.get("kind")
@@ -210,7 +209,6 @@ def verify_trace(kg: KnowledgeGraph, doc: dict[str, Any]) -> VerificationReport:
                     )
             key = f"{payload.get('clause_index')}:{payload.get('premise_index')}"
             latest_grounding[(option, branch, key)] = (seq, status)
-            grounding_history.append((seq, option, branch, key, status))
 
         elif kind == "Evaluation" and not baseline:
             clauses = axioms.get((option, branch))

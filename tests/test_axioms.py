@@ -87,6 +87,12 @@ def test_axiom_invariants():
         Premise(kind="function", name="age", subject="A")  # missing op/comparand
 
 
+def test_premise_rejects_unknown_operator():
+    # An unknown op used to be accepted and then grounded as >=.
+    with pytest.raises(ValueError, match="unknown operator"):
+        Premise("function", "age", "A", "~", "number", Decimal(18))
+
+
 # -- generated round-trip and precedence properties --------------------------
 
 _names = st.sampled_from(["p", "q", "age", "has_fate", "born_in_2"])

@@ -2,7 +2,13 @@ import pytest
 
 from groundedqa import HashedEmbedder, KnowledgeGraph, ScriptedBackend, parse_axiom
 from groundedqa.entities import AnchorEntitySet
-from groundedqa.expansion import ExpansionFailure, MissingEvidence, expand, identify_missing
+from groundedqa.expansion import (
+    Branch,
+    ExpansionFailure,
+    MissingEvidence,
+    expand,
+    identify_missing,
+)
 from groundedqa.trace import Audit
 
 AXIOM = parse_axiom("place_of_birth(Q_C) = Bologna")
@@ -21,19 +27,26 @@ def chain_kg():
     )
 
 
-def anchors_of(*ids):
-    a = AnchorEntitySet(entities=[], provenance={})
+def branch_of(kg, *ids, consumed=()):
+    """A branch anchored on ``ids`` with their 1-hop subgraph."""
+    anchors = AnchorEntitySet(entities=[], provenance={})
     for i in ids:
-        a.add(i, "lexical")
-    return a
+        anchors.add(i, "lexical")
+    return Branch(anchors, kg.one_hop_subgraph(anchors.entities), set(consumed))
 
 
-def mei_args(kg, backend, anchors, current):
-    sg = kg.one_hop_subgraph(anchors.entities)
+def mei_args(kg, backend, anchor, consumed):
     return dict(
-        kg=kg, backend=backend, query_text="q", axiom=AXIOM, subgraph=sg,
-        current_triples=current, unsatisfied=list(AXIOM.clauses[0]),
-        anchors=anchors, audit=Audit(),
+        kg=kg, backend=backend, query_text="q", axiom=AXIOM,
+        branch=branch_of(kg, anchor, consumed=consumed),
+        unsatisfied=list(AXIOM.clauses[0]), audit=Audit(),
+    )
+
+
+def grow(kg, branch, missing, backend, k):
+    return expand(
+        kg, branch, missing, HashedEmbedder(), backend, AXIOM,
+        k=k, audit=Audit(), llm_window=40,
     )
 
 
@@ -41,7 +54,7 @@ def test_identify_missing_resolves_via_tail(chain_kg):
     backend = ScriptedBackend(
         {"mei": ["MISSING: birthplace of first wife\nENTITY: Carla Dalloglio"]}
     )
-    m = identify_missing(**mei_args(chain_kg, backend, anchors_of("Q_B"), {0, 1}))
+    m = identify_missing(**mei_args(chain_kg, backend, "Q_B", {0, 1}))
     assert m.resolved == "Q_C"
     assert m.already_anchor is False
     assert m.description == "birthplace of first wife"
@@ -49,7 +62,7 @@ def test_identify_missing_resolves_via_tail(chain_kg):
 
 def test_identify_missing_existing_anchor(chain_kg):
     backend = ScriptedBackend({"mei": ["MISSING: more facts\nENTITY: Silvio Berlusconi"]})
-    m = identify_missing(**mei_args(chain_kg, backend, anchors_of("Q_B"), {0}))
+    m = identify_missing(**mei_args(chain_kg, backend, "Q_B", {0}))
     assert m.resolved == "Q_B"
     assert m.already_anchor is True
 
@@ -57,76 +70,59 @@ def test_identify_missing_existing_anchor(chain_kg):
 def test_identify_missing_unresolvable_fails(chain_kg):
     backend = ScriptedBackend({"mei": ["MISSING: lost city\nENTITY: Atlantis"]})
     with pytest.raises(ExpansionFailure):
-        identify_missing(**mei_args(chain_kg, backend, anchors_of("Q_B"), {0}))
+        identify_missing(**mei_args(chain_kg, backend, "Q_B", {0}))
 
 
 def test_identify_missing_unparseable_fails(chain_kg):
     backend = ScriptedBackend({"mei": ["cannot say"]})
     with pytest.raises(ExpansionFailure):
-        identify_missing(**mei_args(chain_kg, backend, anchors_of("Q_B"), {0}))
+        identify_missing(**mei_args(chain_kg, backend, "Q_B", {0}))
 
 
 def test_expand_new_entity_grows_state(chain_kg):
     backend = ScriptedBackend({"triple_select": ["SELECT: 1,2"]})
-    anchors = anchors_of("Q_B")
-    sg = chain_kg.one_hop_subgraph(anchors.entities)
-    consumed = {0, 1}
+    branch = branch_of(chain_kg, "Q_B", consumed={0, 1})
     missing = MissingEvidence("x", "Carla Dalloglio", "Q_C", already_anchor=False)
-    grown, pruned = expand(
-        chain_kg, anchors, sg, missing, HashedEmbedder(), backend, AXIOM,
-        k=10, consumed=consumed, audit=Audit(), llm_window=40,
-    )
-    assert anchors.provenance["Q_C"] == "mei"
-    assert grown.triple_ids == frozenset({0, 1, 2, 3})
-    assert set(pruned.triple_ids) == {2, 3}
-    assert consumed == {0, 1, 2, 3}
+    pruned = grow(chain_kg, branch, missing, backend, k=10)
+    assert branch.anchors.provenance["Q_C"] == "mei"
+    assert branch.subgraph.triple_ids == frozenset({0, 1, 2, 3})
+    assert set(pruned) == {2, 3}
+    assert branch.consumed == {0, 1, 2, 3}
+    assert branch.depth == 1
     # subgraph invariant: every head is an anchor
-    assert all(chain_kg.triple(t).head in grown.anchor_set for t in grown.triple_ids)
+    assert all(
+        chain_kg.triple(t).head in branch.anchors.provenance for t in branch.subgraph.triple_ids
+    )
 
 
 def test_expand_already_anchor_takes_next_top_k(chain_kg):
     backend = ScriptedBackend({})  # no LLM pruning call on the already-anchor path
-    anchors = anchors_of("Q_B", "Q_C")
-    sg = chain_kg.one_hop_subgraph(anchors.entities)
-    consumed = {0, 2}
+    branch = branch_of(chain_kg, "Q_B", "Q_C", consumed={0, 2})
+    before = branch.subgraph.triple_ids
     missing = MissingEvidence("x", "Carla Dalloglio", "Q_C", already_anchor=True)
-    grown, pruned = expand(
-        chain_kg, anchors, sg, missing, HashedEmbedder(), backend, AXIOM,
-        k=1, consumed=consumed, audit=Audit(), llm_window=40,
-    )
-    assert grown.triple_ids == sg.triple_ids
-    assert len(pruned.triple_ids) == 1
-    assert pruned.triple_ids[0] in {1, 3}
+    pruned = grow(chain_kg, branch, missing, backend, k=1)
+    assert branch.subgraph.triple_ids == before
+    assert len(pruned) == 1
+    assert pruned[0] in {1, 3}
     assert backend.call_log == []
 
 
 def test_expand_already_anchor_all_consumed(chain_kg):
-    anchors = anchors_of("Q_B", "Q_C")
-    sg = chain_kg.one_hop_subgraph(anchors.entities)
-    consumed = set(sg.triple_ids)
+    branch = branch_of(chain_kg, "Q_B", "Q_C")
+    branch.consumed.update(branch.subgraph.triple_ids)
     missing = MissingEvidence("x", "Carla Dalloglio", "Q_C", already_anchor=True)
-    _, pruned = expand(
-        chain_kg, anchors, sg, missing, HashedEmbedder(), ScriptedBackend({}), AXIOM,
-        k=10, consumed=consumed, audit=Audit(), llm_window=40,
-    )
-    assert pruned.triple_ids == []
-    assert consumed == set(sg.triple_ids)
+    pruned = grow(chain_kg, branch, missing, ScriptedBackend({}), k=10)
+    assert pruned == []
+    assert branch.consumed == set(branch.subgraph.triple_ids)
 
 
 def test_expand_same_entity_twice_idempotent(chain_kg):
     backend = ScriptedBackend({"triple_select": ["SELECT:", "SELECT:"]})
-    anchors = anchors_of("Q_B")
-    sg = chain_kg.one_hop_subgraph(anchors.entities)
-    consumed = set()
+    branch = branch_of(chain_kg, "Q_B")
     missing = MissingEvidence("x", "Carla Dalloglio", "Q_C", already_anchor=False)
-    grown1, _ = expand(
-        chain_kg, anchors, sg, missing, HashedEmbedder(), backend, AXIOM,
-        k=10, consumed=consumed, audit=Audit(), llm_window=40,
-    )
-    grown2, _ = expand(
-        chain_kg, anchors, grown1, missing, HashedEmbedder(), backend, AXIOM,
-        k=10, consumed=consumed, audit=Audit(), llm_window=40,
-    )
-    assert grown2.triple_ids == grown1.triple_ids
-    assert grown2.anchor_set == grown1.anchor_set
-    assert anchors.entities.count("Q_C") == 1
+    grow(chain_kg, branch, missing, backend, k=10)
+    triples1, anchors1 = branch.subgraph.triple_ids, list(branch.anchors.entities)
+    grow(chain_kg, branch, missing, backend, k=10)
+    assert branch.subgraph.triple_ids == triples1
+    assert branch.anchors.entities == anchors1
+    assert branch.anchors.entities.count("Q_C") == 1

@@ -1,0 +1,141 @@
+"""Golden hashes: refactors must keep trace bytes and prompt text identical.
+
+The sha256 values were recorded from the code before the branch-state
+refactor. A changed hash means a change in what the engine asks the LLM or
+writes to its trace, which needs its own justification, not a new hash.
+"""
+
+import copy
+import hashlib
+
+import pytest
+
+from groundedqa import (
+    HashedEmbedder,
+    KnowledgeGraph,
+    Query,
+    ScriptedBackend,
+    SearchConfig,
+    answer_multiple_choice,
+    answer_query,
+)
+from groundedqa.prompts import render_prompt
+
+from fixture_data import (
+    ADULT_KG,
+    ADULT_QUERY,
+    ADULT_SCRIPT,
+    PREFERENCE_KG,
+    PREFERENCE_OPTIONS,
+    PREFERENCE_QUERY,
+    PREFERENCE_SCRIPT,
+    QUINCE_KG,
+    QUINCE_QUERY,
+    QUINCE_SCRIPT,
+    TWO_HOP_KG,
+    TWO_HOP_QUERY,
+    TWO_HOP_SCRIPT,
+    TWO_HOP_SCRIPT_NO_MEI,
+    UNKNOWN_QUERY,
+    UNKNOWN_SCRIPT,
+)
+
+# MEI names the entity that is already the anchor twice, so both expansions
+# take the next top-1 triples of the same subgraph.
+ALREADY_ANCHOR_SCRIPT = {
+    "entity_extract": ["ENTITIES: Virginia Raggi"],
+    "axiom": ["AXIOM: nationality(Virginia_Raggi) = Italy"],
+    "triple_select": ["SELECT:"],
+    "judge": ["STATUS: UNKNOWN", "STATUS: UNKNOWN", "STATUS: SATISFIED\nEVIDENCE: 3"],
+    "mei": ["MISSING: nationality\nENTITY: Virginia Raggi"] * 2,
+}
+
+# Branch 1 expands to Beta; branch 2 must load Beta's triples itself.
+BRANCH_KG = KnowledgeGraph(
+    triples=[("A", "knows", "B"), ("B", "age", "20")],
+    labels=[("A", "Alpha"), ("B", "Beta")],
+)
+BRANCH_SCRIPT = {
+    "entity_extract": ["ENTITIES: Alpha"],
+    "axiom": ["AXIOM: foo(B)", "AXIOM: age(B) >= 18"],
+    "triple_select": ["SELECT: 1"] * 4,
+    "judge": ["STATUS: UNKNOWN"] * 4,
+    "mei": ["MISSING: facts about Beta\nENTITY: Beta"] * 2,
+}
+
+SCENARIOS = {
+    # name: (kg, script, query, options, config)
+    "single_hop": (ADULT_KG, ADULT_SCRIPT, ADULT_QUERY, (), None),
+    "two_hop": (TWO_HOP_KG, TWO_HOP_SCRIPT, TWO_HOP_QUERY, (), None),
+    "two_hop_no_mei": (TWO_HOP_KG, TWO_HOP_SCRIPT_NO_MEI, TWO_HOP_QUERY, (),
+                       SearchConfig(max_breadth=1)),
+    "contradiction": (QUINCE_KG, QUINCE_SCRIPT, QUINCE_QUERY, (), None),
+    "preference": (PREFERENCE_KG, PREFERENCE_SCRIPT, PREFERENCE_QUERY,
+                   PREFERENCE_OPTIONS, None),
+    "unknown": (TWO_HOP_KG, UNKNOWN_SCRIPT, UNKNOWN_QUERY, (), None),
+    "already_anchor": (ADULT_KG, ALREADY_ANCHOR_SCRIPT, ADULT_QUERY, (),
+                       SearchConfig(max_breadth=1, top_k=1)),
+    "branch_isolation": (BRANCH_KG, BRANCH_SCRIPT, "Does Alpha know an adult?", (),
+                         SearchConfig(max_breadth=2, max_depth=1)),
+}
+
+TRACE_SHA256 = {
+    "already_anchor": "dffdfedbd9a64a392f2b95ef377d46e62363a53bc06e9eebd1c2c859051839e8",
+    "branch_isolation": "e1ba34a89d91d3f88df973f74f89e4f6e8fbff2c8a30aa3329f84998551fdd77",
+    "contradiction": "c1f3708add2377083f791d624d57c0943f59bd6f051c034e162d51aad022e25c",
+    "preference": "cf70e8e1cbfe34d926b9ba530e215663ede1b0a32982e9aacb60a5da598e0878",
+    "single_hop": "ee47ae3d78e423edc3243273c4b583104c180503f679a5740d8a197b1cd4b38d",
+    "two_hop": "0aa0235c62cdfefc8ccabe1b767a90f8027fd5c6dcbfff0a9aadde11fc30c725",
+    "two_hop_no_mei": "f30ff414a2616279862672f9371ae1fa8cf053abeae7d9c22ce50d7d72c98a5a",
+    "unknown": "200a5488c2ce9d9aafd6d8a79b9bad93d116529e52d9dbab16123f27e508c9af",
+}
+
+PROMPT_CONTEXTS = {
+    "entity_extract": ("entity_extract", {"query": "Is Alan Turing older than 40?"}),
+    "axiom": ("axiom", {"query": "Q?", "option": None, "prior_axioms": []}),
+    "axiom_option_prior": ("axiom", {
+        "query": "Which dish suits Sam?",
+        "option": "Shredded pork",
+        "prior_axioms": ["p(A)", "age(A) >= 18 OR q(A)"],
+    }),
+    "triple_select": ("triple_select", {
+        "axiom_text": "age(Q1) < 20", "numbered_triples": "1. A age 45\n2. A r B",
+    }),
+    "judge": ("judge", {"premise_text": "age(Q1) < 20", "numbered_triples": "1. A age 45"}),
+    "mei": ("mei", {
+        "query": "Q?", "axiom_text": "p(A) AND q(B)",
+        "unsatisfied": "- q(B)", "numbered_triples": "1. A r B",
+    }),
+    "baseline": ("baseline", {"query": "Q?", "numbered_triples": "1. A r B"}),
+}
+
+PROMPT_SHA256 = {
+    "axiom": "9257338a2d5d61d18ec78144ec62e244a737f0048716be74f7d1987aa2ae14b3",
+    "axiom_option_prior": "e0be9485c98115c7b2becfd1a7006c5a75af52f6031b00207009b7a4a14d7297",
+    "baseline": "721f6ee9503041d9ec51dc7087dc88cb03fa0d75fe94d5dbd23da441ea0af7b9",
+    "entity_extract": "923639238620cab6b56ce43b1c2f399469c657796891b00b82ff1e0cfcca6d1a",
+    "judge": "7ecd327f61bf6180f5bd33873e2ca29a12fed1f8acf7243fe52fedf043143321",
+    "mei": "6cea51988715e1bf047994d28ed4c182a8cd735a5558622581591d7137669b8b",
+    "triple_select": "9f38919b2ae3d3a70987aa1212dbb97c0a0e8ce4bc2b7df476372ba2a253d8aa",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_json_matches_golden_hash(name):
+    kg, script, text, options, config = SCENARIOS[name]
+    backend = ScriptedBackend(copy.deepcopy(script))
+    query = Query(text=text, options=options,
+                  task="multiple_choice" if options else "qa_yes_no")
+    answer = answer_multiple_choice if options else answer_query
+    result = answer(kg, HashedEmbedder(), backend, query, config)
+    assert _sha256(result.trace.to_json()) == TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PROMPT_CONTEXTS))
+def test_rendered_prompt_matches_golden_hash(name):
+    role, context = PROMPT_CONTEXTS[name]
+    assert _sha256(render_prompt(role, context)) == PROMPT_SHA256[name]

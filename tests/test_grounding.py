@@ -57,6 +57,17 @@ def test_symbolic_satisfied_numeric():
     assert g.status is S and g.evidence == frozenset({0})
 
 
+@pytest.mark.parametrize("op, tail, status", [
+    ("=", "18", S), ("=", "20", V), ("!=", "20", S), ("!=", "18", V),
+    ("<", "17", S), ("<", "18", V), ("<=", "18", S), ("<=", "19", V),
+    (">", "19", S), (">", "18", V), (">=", "18", S), (">=", "17", V),
+])
+def test_symbolic_numeric_operator_table(op, tail, status):
+    kg = KnowledgeGraph(triples=[("Q1", "age", tail)])
+    g = ground_premise_symbolic(kg, prem(f"age(Q1) {op} 18"), "Q1", [0])
+    assert g.status is status and g.evidence == frozenset({0})
+
+
 def test_symbolic_not_applicable_without_matching_relation(age_kg):
     g = ground_premise_symbolic(age_kg, prem("is_from_Latin_America(Q1)"), "Q1", [0, 1, 2])
     assert g is None

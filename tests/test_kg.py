@@ -66,7 +66,7 @@ def test_resolve_label_normalizes():
 def test_one_hop_subgraph_basic(small_kg):
     sg = small_kg.one_hop_subgraph(["A"])
     assert sg.triple_ids == frozenset({0, 3})
-    assert sg.anchor_set == frozenset({"A"})
+    assert {small_kg.triple(t).head for t in sg.triple_ids} == {"A"}
 
 
 def test_one_hop_subgraph_empty_anchors(small_kg):

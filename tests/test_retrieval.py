@@ -70,8 +70,8 @@ def test_top_k_tie_break_by_smaller_id():
     class ConstantEmbedder:
         dimension = 4
 
-        def embed(self, text):
-            return np.ones(4)
+        def embed_many(self, texts):
+            return np.ones((len(texts), 4))
 
     assert top_k_similar(ConstantEmbedder(), "q", kg, [0, 1, 2], 2) == [0, 1]
 
@@ -135,16 +135,16 @@ def test_prune_is_union_of_both_selectors(small_kg):
     consumed = set()
     pruned = prune_subgraph(e, backend, small_kg, AXIOM, sg, 2, consumed, Audit())
     top2 = top_k_similar(e, "age(Q1) < 20", small_kg, sorted(sg.triple_ids), 2)
-    assert set(top2) <= set(pruned.triple_ids)
-    assert 1 in pruned.triple_ids  # LLM pick: 2nd candidate by triple id
-    assert consumed == set(pruned.triple_ids)
+    assert set(top2) <= set(pruned)
+    assert 1 in pruned  # LLM pick: 2nd candidate by triple id
+    assert consumed == set(pruned)
 
 
 def test_prune_empty_subgraph(small_kg):
     backend = ScriptedBackend({})
     sg = small_kg.one_hop_subgraph([])
     pruned = prune_subgraph(HashedEmbedder(), backend, small_kg, AXIOM, sg, 5, set(), Audit())
-    assert pruned.triple_ids == []
+    assert pruned == []
     assert backend.call_log == []
 
 
@@ -155,8 +155,8 @@ def test_prune_second_call_draws_from_remaining(small_kg):
     consumed = set()
     first = prune_subgraph(e, backend, small_kg, AXIOM, sg, 2, consumed, Audit())
     second = prune_subgraph(e, backend, small_kg, AXIOM, sg, 2, consumed, Audit())
-    assert not set(first.triple_ids) & set(second.triple_ids)
-    assert set(first.triple_ids) | set(second.triple_ids) == consumed
+    assert not set(first) & set(second)
+    assert set(first) | set(second) == consumed
 
 
 def test_llm_window_caps_candidates():
@@ -168,4 +168,4 @@ def test_llm_window_caps_candidates():
     )
     prompt = backend.call_log[0][1]
     assert "3. " in prompt and "4. " not in prompt
-    assert 2 in pruned.triple_ids
+    assert 2 in pruned

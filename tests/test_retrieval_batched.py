@@ -55,15 +55,6 @@ def _ref_top_k(dimension, axiom_text, kg, ids, k, exclude=frozenset()):
     return [tid for _, tid in scored[:k]]
 
 
-class EmbedOnly:
-    """An embedder with ``embed`` alone, like a custom or remote one."""
-
-    dimension = 256
-
-    def embed(self, text):
-        return _ref_embed(text, self.dimension)
-
-
 def test_fnv_cache_returns_uncached_values():
     tokens = ["", "a", "rome", "née", "東京", "45", "x" * 300] + [f"t{i}" for i in range(500)]
     for _ in range(2):  # second pass is served from the cache
@@ -110,8 +101,7 @@ def _cases(kg, seed):
                 yield " ".join(rng.choices(WORDS, k=3)), ids, k, exclude
 
 
-@pytest.mark.parametrize("embedder", [HashedEmbedder(), EmbedOnly()],
-                         ids=["embed_many", "embed_only"])
+@pytest.mark.parametrize("embedder", [HashedEmbedder()], ids=["embed_many"])
 def test_top_k_equals_per_row_norm_brute_force(embedder):
     kg = _tie_heavy_kg(11)
     checked = 0
