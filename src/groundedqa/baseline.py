@@ -8,7 +8,6 @@ skips the grounding rules that this method deliberately does not enforce.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .entities import Query
 from .grounding import Answer

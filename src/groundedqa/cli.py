@@ -19,7 +19,6 @@ from .kg import KgParseError, KnowledgeGraph
 from .llm import HttpBackend, HttpConfig, ScriptedBackend, TransportError
 from .retrieval import HashedEmbedder
 from .search import SearchConfig, answer_multiple_choice, answer_query
-from .baseline import baseline_retrieve_read
 from .trace import TraceSchemaError, load_trace, verify_trace
 
 EXIT_OK = 0
@@ -41,6 +40,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="groundedqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = SearchConfig()
+
     def common(p):
         p.add_argument("--kg", required=True, help="triples TSV file")
         p.add_argument("--labels", help="labels TSV file")
@@ -48,9 +49,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--script", help="scripted backend JSON file")
         p.add_argument("--endpoint", help="chat-completions endpoint URL")
         p.add_argument("--model", help="model name for the HTTP backend")
-        p.add_argument("--top-k", type=int, default=10)
-        p.add_argument("--max-breadth", type=int, default=2)
-        p.add_argument("--max-depth", type=int, default=3)
+        p.add_argument("--top-k", type=int, default=defaults.top_k)
+        p.add_argument("--max-breadth", type=int, default=defaults.max_breadth)
+        p.add_argument("--max-depth", type=int, default=defaults.max_depth)
 
     ask = sub.add_parser("ask", help="answer one query")
     common(ask)

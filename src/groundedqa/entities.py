@@ -1,14 +1,14 @@
 """Anchor entity extraction: lexical gazetteer union LLM-proposed names.
 
-The lexical side is a greedy longest-match scan of the normalized query
-against KG labels and aliases; the LLM side covers recent or obscure names
-the gazetteer misses. Names the KG cannot resolve are dropped and audited,
-never guessed.
+The lexical side is a greedy longest-match lookup of the normalized query's
+word-boundary spans in the KG's labels and aliases; the LLM side covers
+recent or obscure names the gazetteer misses. Names the KG cannot resolve are
+dropped and audited, never guessed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kg import KnowledgeGraph, normalize
 from .llm import LlmRequest, parse_entities
@@ -47,32 +47,32 @@ class AnchorEntitySet:
 
 
 def link_lexical(kg: KnowledgeGraph, query_text: str) -> list[str]:
-    """Greedy longest-match gazetteer scan; returns matched ids in query order.
+    """Greedy longest-match gazetteer lookup; returns matched ids in query order.
 
-    A chosen longer match suppresses shorter matches overlapping its span;
-    matches must sit on word boundaries of the normalized query.
+    Every word-boundary span of the normalized query, up to the longest alias,
+    is looked up in the alias index. Matches are claimed longest first (then
+    by surface, then by position), and a claimed match suppresses later
+    matches overlapping its span.
     """
     nq = normalize(query_text)
+    aliases = kg.alias_index()
+    starts = [i for i in range(len(nq)) if i == 0 or not nq[i - 1].isalnum()]
+    ends = [j for j in range(1, len(nq) + 1) if j == len(nq) or not nq[j].isalnum()]
+    longest = kg.max_alias_len()
+    found = [
+        (j - i, nq[i:j], i)
+        for i in starts
+        for j in ends
+        if i < j <= i + longest and nq[i:j] in aliases
+    ]
+    found.sort(key=lambda f: (-f[0], f[1], f[2]))
     claimed: list[tuple[int, int]] = []
     hits: list[tuple[int, list[str]]] = []
-    surfaces = sorted(kg.alias_index().items(), key=lambda kv: (-len(kv[0]), kv[0]))
-    for surface, ids in surfaces:
-        if not surface:
-            continue
-        start = 0
-        while True:
-            i = nq.find(surface, start)
-            if i < 0:
-                break
-            j = i + len(surface)
-            boundary = (i == 0 or not nq[i - 1].isalnum()) and (
-                j == len(nq) or not nq[j].isalnum()
-            )
-            overlaps = any(i < ce and cs < j for cs, ce in claimed)
-            if boundary and not overlaps:
-                claimed.append((i, j))
-                hits.append((i, ids))
-            start = i + 1
+    for length, surface, i in found:
+        j = i + length
+        if not any(i < ce and cs < j for cs, ce in claimed):
+            claimed.append((i, j))
+            hits.append((i, aliases[surface]))
     result: list[str] = []
     for _, ids in sorted(hits, key=lambda h: h[0]):
         for entity_id in ids:

@@ -8,11 +8,12 @@ loading and safe to share across concurrent query evaluations.
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 _NUMBER_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
 _WS_RE = re.compile(r"\s+")
@@ -44,8 +45,9 @@ def parse_number(token: str) -> Optional[Decimal]:
     return None
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """One immutable triple; a tuple, so a large KG stays small in memory."""
+
     id: int
     head: str
     relation: str
@@ -76,6 +78,7 @@ class KnowledgeGraph:
         ]
         self.labels: dict[str, str] = {}
         self._aliases: dict[str, list[str]] = {}
+        self._max_alias_len = 0
         for entity_id, label in labels:
             if entity_id not in self.labels:
                 self.labels[entity_id] = label
@@ -91,7 +94,9 @@ class KnowledgeGraph:
         self.entities: set[str] = set(self.labels)
 
     def _add_alias(self, surface: str, entity_id: str) -> None:
-        ids = self._aliases.setdefault(normalize(surface), [])
+        key = normalize(surface)
+        self._max_alias_len = max(self._max_alias_len, len(key))
+        ids = self._aliases.setdefault(key, [])
         if entity_id not in ids:
             ids.append(entity_id)
 
@@ -99,7 +104,11 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, triples_file: str | Path, labels_file: str | Path | None = None) -> "KnowledgeGraph":
-        """Load a KG from the 3-column triples TSV and optional labels TSV."""
+        """Load a KG from the 3-column triples TSV and optional labels TSV.
+
+        Column strings are interned, so each repeated head, relation or tail
+        is stored once.
+        """
         triples = []
         for line_no, line in enumerate(_read_lines(triples_file), start=1):
             cols = line.split("\t")
@@ -108,7 +117,7 @@ class KnowledgeGraph:
                     str(triples_file), line_no,
                     f"expected 3 tab-separated columns, got {len(cols)}",
                 )
-            triples.append((cols[0], cols[1], cols[2]))
+            triples.append(tuple(map(sys.intern, cols)))
         labels = []
         if labels_file is not None:
             for line_no, line in enumerate(_read_lines(labels_file), start=1):
@@ -164,6 +173,10 @@ class KnowledgeGraph:
     def alias_index(self) -> dict[str, list[str]]:
         """Normalized surface form -> entity ids (read-only view for linking)."""
         return self._aliases
+
+    def max_alias_len(self) -> int:
+        """Length of the longest normalized alias; no longer span can match."""
+        return self._max_alias_len
 
     def tail_entity(self, triple: Triple) -> Optional[str]:
         """The tail as an entity id, if it resolves to a known entity."""

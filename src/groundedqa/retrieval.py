@@ -30,6 +30,11 @@ DEFAULT_LLM_WINDOW = 40
 # a constant rather than a tuning knob.
 SCORE_CHUNK = 64
 
+# Texts whose bucket indices embed_many remembers, per (text, dimension).
+# Retrieval verbalizes the same triples again and again, so most lookups hit;
+# the bound keeps whole-KG retrieval from holding every text it ever saw.
+BUCKET_MEMO_SIZE = 1 << 15
+
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -49,6 +54,20 @@ def _fnv1a_64(token: str) -> int:
     for byte in token.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) % _U64
     return h
+
+
+@functools.lru_cache(maxsize=BUCKET_MEMO_SIZE)
+def _bucket_indices(text: str, dimension: int) -> tuple[int, ...]:
+    """The bucket of each token of ``text``, in token order.
+
+    Keyed by the text, not by a triple id, so a KG whose labels change how a
+    triple verbalizes can never be served another KG's buckets.
+    """
+    return tuple(
+        _fnv1a_64(token) % dimension
+        for token in _TOKEN_SPLIT.split(text.lower())
+        if token
+    )
 
 
 class HashedEmbedder:
@@ -74,10 +93,9 @@ class HashedEmbedder:
         """
         dim = self.dimension
         flat = [
-            row * dim + _fnv1a_64(token) % dim
+            row * dim + bucket
             for row, text in enumerate(texts)
-            for token in _TOKEN_SPLIT.split(text.lower())
-            if token
+            for bucket in _bucket_indices(text, dim)
         ]
         n = len(texts)
         m = np.bincount(

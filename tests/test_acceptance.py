@@ -8,7 +8,6 @@ real endpoint and is skipped unless one is configured in the environment.
 import copy
 import filecmp
 import itertools
-import json
 import os
 import random
 import time

@@ -1,6 +1,9 @@
 import json
 
-from groundedqa.cli import EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, EXIT_VERIFY, main
+import pytest
+
+from groundedqa import SearchConfig
+from groundedqa.cli import EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, EXIT_VERIFY, _build_parser, main
 
 from fixture_data import (
     ADULT_KG,
@@ -135,3 +138,16 @@ def test_unreachable_http_backend_is_transport_error(tmp_path, capsys):
     ])
     assert code == EXIT_TRANSPORT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("ask", ["--query", "q"]),
+    ("eval", ["--dataset", "d.jsonl"]),
+    ("baseline", ["--dataset", "d.jsonl"]),
+])
+def test_search_flag_defaults_are_search_config_defaults(command, extra):
+    args = _build_parser().parse_args([command, "--kg", "kg.tsv", *extra])
+    config = SearchConfig(
+        max_breadth=args.max_breadth, max_depth=args.max_depth, top_k=args.top_k,
+    )
+    assert config == SearchConfig()

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +31,17 @@ def test_load_wrong_column_count(tmp_path):
         KnowledgeGraph.load(f)
     assert exc.value.line_no == 1
 
+
+
+def test_load_interns_columns_and_triples_are_immutable(tmp_path):
+    f = tmp_path / "kg.tsv"
+    f.write_text("Q1\tage\t45\nQ1\tage\t46\n", encoding="utf-8")
+    first, second = KnowledgeGraph.load(f).triples
+    assert first.head is second.head
+    assert first.relation is second.relation
+    with pytest.raises(AttributeError):
+        first.tail = "47"
+    assert first == (0, "Q1", "age", "45")
 
 def test_labels_first_is_primary_rest_aliases(tmp_path):
     triples = tmp_path / "kg.tsv"

@@ -1,7 +1,6 @@
 import random
 
 import numpy as np
-import pytest
 
 from groundedqa import (
     HashedEmbedder,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from groundedqa import HashedEmbedder, KnowledgeGraph
-from groundedqa.retrieval import SCORE_CHUNK, _fnv1a_64, top_k_similar, verbalize
+from groundedqa.retrieval import SCORE_CHUNK, _bucket_indices, _fnv1a_64, top_k_similar, verbalize
 
 WORDS = ["rome", "mayor", "age", "spouse", "fate", "blue", "45", "x", "née"]
 TEXTS = [
@@ -73,6 +73,26 @@ def test_embed_many_rows_equal_per_text_reference_bit_for_bit(dimension):
     assert not m[0].any() and not m[1].any()  # empty text embeds to zero
     assert e.embed_many([]).shape == (0, dimension)
 
+
+
+@pytest.mark.parametrize("dimension", [256, 7])
+def test_embed_many_rows_equal_with_cold_and_warm_memo(dimension):
+    e = HashedEmbedder(dimension)
+    ref = np.stack([_ref_embed(text, dimension) for text in TEXTS])
+    _bucket_indices.cache_clear()
+    cold = e.embed_many(TEXTS)
+    assert _bucket_indices.cache_info().currsize == len(set(TEXTS))
+    warm = e.embed_many(TEXTS)
+    assert _bucket_indices.cache_info().hits == len(TEXTS)
+    assert cold.tobytes() == warm.tobytes() == ref.tobytes()
+
+
+def test_bucket_memo_is_keyed_by_dimension():
+    text = TEXTS[-2]
+    _bucket_indices.cache_clear()
+    HashedEmbedder(7).embed_many([text])
+    row = HashedEmbedder(256).embed_many([text])[0]
+    assert row.tobytes() == _ref_embed(text, 256).tobytes()
 
 def _tie_heavy_kg(seed, n=2000):
     rng = random.Random(seed)
