@@ -13,8 +13,8 @@ from .entities import Query
 from .grounding import Answer
 from .kg import KnowledgeGraph
 from .llm import LlmRequest
-from .prompts import number_lines, render_prompt
-from .retrieval import Embedder, top_k_similar, verbalize
+from .prompts import render_prompt
+from .retrieval import Embedder, numbered_triples, top_k_similar
 from .trace import Audit, ReasoningTrace
 
 _TRUE_RE = re.compile(r"\b(yes|true)\b", re.IGNORECASE)
@@ -42,9 +42,8 @@ def baseline_retrieve_read(
     """Answer directly over the k triples nearest to the query text."""
     all_ids = [t.id for t in kg.triples]
     picked = top_k_similar(embedder, query.text, kg, all_ids, k)
-    numbered = number_lines([verbalize(kg, kg.triple(tid)) for tid in picked])
     prompt = render_prompt(
-        "baseline", {"query": query.text, "numbered_triples": numbered},
+        "baseline", {"query": query.text, "numbered_triples": numbered_triples(kg, picked)},
     )
     response = backend.complete(LlmRequest(role="baseline", rendered_prompt=prompt))
     value = map_keyword_answer(response)

@@ -136,8 +136,9 @@ def run_eval(
 ) -> Metrics:
     """Run the engine (or the retrieve-and-read baseline) over a dataset.
 
-    Writes one result line per item to ``results.jsonl`` and one trace file
-    per item under ``out_dir``; returns the aggregate metrics.
+    Writes one trace file per item under ``out_dir`` and appends the item's
+    line to ``results.jsonl`` as soon as it finishes, so an exception mid-run
+    leaves every earlier item's result; returns the aggregate metrics.
     """
     config = config or SearchConfig()
     out_dir = Path(out_dir)
@@ -148,39 +149,36 @@ def run_eval(
     answered = 0
     precisions: list[float] = []
     rejected = 0
-    lines: list[str] = []
-    for item in items:
-        item_kg = _item_kg(item, kg)
-        query = item_query(item)
-        if baseline:
-            answer, trace = baseline_retrieve_read(
-                item_kg, embedder, backend, query, k=config.top_k,
-            )
-        else:
-            answer_fn = answer_multiple_choice if query.options else answer_query
-            result = answer_fn(item_kg, embedder, backend, query, config)
-            answer, trace = result.answer, result.trace
-            rejected += result.audit.rejected_citations
+    with open(out_dir / "results.jsonl", "w", encoding="utf-8") as results:
+        for item in items:
+            item_kg = _item_kg(item, kg)
+            query = item_query(item)
+            if baseline:
+                answer, trace = baseline_retrieve_read(
+                    item_kg, embedder, backend, query, k=config.top_k,
+                )
+            else:
+                answer_fn = answer_multiple_choice if query.options else answer_query
+                result = answer_fn(item_kg, embedder, backend, query, config)
+                answer, trace = result.answer, result.trace
+                rejected += result.audit.rejected_citations
 
-        trace_path = out_dir / f"trace_{item.id}.json"
-        report = verify_trace(item_kg, trace.save(trace_path))
-        precisions.append(report.grounding_precision)
+            trace_path = out_dir / f"trace_{item.id}.json"
+            report = verify_trace(item_kg, trace.save(trace_path))
+            precisions.append(report.grounding_precision)
 
-        ok = is_correct(item, answer.value, answer.selected_option)
-        correct += ok
-        answered += answer.value != "Unknown"
-        lines.append(json.dumps({
-            "id": item.id,
-            "predicted": answer.value,
-            "selected_option": answer.selected_option,
-            "gold": item.gold,
-            "correct": ok,
-            "trace": str(trace_path),
-        }, sort_keys=True))
-
-    (out_dir / "results.jsonl").write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8",
-    )
+            ok = is_correct(item, answer.value, answer.selected_option)
+            correct += ok
+            answered += answer.value != "Unknown"
+            results.write(json.dumps({
+                "id": item.id,
+                "predicted": answer.value,
+                "selected_option": answer.selected_option,
+                "gold": item.gold,
+                "correct": ok,
+                "trace": str(trace_path),
+            }, sort_keys=True) + "\n")
+            results.flush()  # a run killed later keeps every finished item's line
     n = len(items)
     metrics = Metrics(
         n_items=n,

@@ -15,8 +15,8 @@ from .entities import AnchorEntitySet
 from .grounding import PremiseGrounding
 from .kg import KnowledgeGraph, Subgraph
 from .llm import LlmRequest, parse_mei
-from .prompts import number_lines, render_prompt
-from .retrieval import Embedder, prune_subgraph, top_k_similar, verbalize
+from .prompts import render_prompt
+from .retrieval import Embedder, numbered_triples, prune_subgraph, top_k_similar
 from .trace import Audit
 
 
@@ -63,16 +63,13 @@ def identify_missing(
     appearing as tails of the branch's subgraph win ties. Unparseable
     responses and unresolvable names fail the expansion.
     """
-    numbered = number_lines(
-        [verbalize(kg, kg.triple(tid)) for tid in sorted(branch.consumed)]
-    )
     prompt = render_prompt(
         "mei",
         {
             "query": query_text,
             "axiom_text": serialize_axiom(axiom),
             "unsatisfied": "\n".join(f"- {serialize_premise(p)}" for p in unsatisfied),
-            "numbered_triples": numbered,
+            "numbered_triples": numbered_triples(kg, sorted(branch.consumed)),
         },
     )
     response = backend.complete(LlmRequest(role="mei", rendered_prompt=prompt))

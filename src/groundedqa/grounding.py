@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Optional
 from .axioms import Axiom, Premise, serialize_premise
 from .kg import KnowledgeGraph, Triple, normalize, parse_number
 from .llm import LlmRequest, parse_judge
-from .prompts import number_lines, render_prompt
-from .retrieval import verbalize
+from .prompts import render_prompt
+from .retrieval import numbered_triples
 from .trace import Audit
 
 
@@ -141,10 +141,10 @@ def ground_premise_judge(
 ) -> PremiseGrounding:
     """Ask the LLM judge; demote uncited non-Unknown verdicts to Unknown."""
     presented = sorted(triple_ids)
-    numbered = number_lines([verbalize(kg, kg.triple(tid)) for tid in presented])
     prompt = render_prompt(
         "judge",
-        {"premise_text": serialize_premise(premise), "numbered_triples": numbered},
+        {"premise_text": serialize_premise(premise),
+         "numbered_triples": numbered_triples(kg, presented)},
     )
     response = backend.complete(LlmRequest(role="judge", rendered_prompt=prompt))
     parsed = parse_judge(response, len(presented))

@@ -161,7 +161,8 @@ class KnowledgeGraph:
         return self.triples[triple_id]
 
     def has_triple(self, triple_id) -> bool:
-        return isinstance(triple_id, int) and 0 <= triple_id < len(self.triples)
+        # bool is an int subclass, but a JSON true/false is not a triple id
+        return type(triple_id) is int and 0 <= triple_id < len(self.triples)
 
     def label_of(self, entity_id: str) -> str:
         return self.labels.get(entity_id, entity_id)

@@ -114,6 +114,11 @@ def verbalize(kg: KnowledgeGraph, triple: Triple) -> str:
     return f"{kg.label_of(triple.head)} {triple.relation} {tail}"
 
 
+def numbered_triples(kg: KnowledgeGraph, triple_ids: Iterable[int]) -> str:
+    """The triples as the LLM sees them: a 1-based numbered list of verbalizations."""
+    return number_lines([verbalize(kg, kg.triple(tid)) for tid in triple_ids])
+
+
 def top_k_similar(
     embedder: Embedder,
     axiom_text: str,
@@ -156,10 +161,10 @@ def llm_select_triples(
 ) -> set[int]:
     """LLM pick over a 1-based numbered candidate list; invalid indices dropped."""
     candidates = list(candidate_ids)
-    numbered = number_lines([verbalize(kg, kg.triple(tid)) for tid in candidates])
     prompt = render_prompt(
         "triple_select",
-        {"axiom_text": serialize_axiom(axiom), "numbered_triples": numbered},
+        {"axiom_text": serialize_axiom(axiom),
+         "numbered_triples": numbered_triples(kg, candidates)},
     )
     response = backend.complete(LlmRequest(role="triple_select", rendered_prompt=prompt))
     parsed = parse_select(response, len(candidates))

@@ -15,7 +15,7 @@ from typing import Any
 
 from .kg import KnowledgeGraph
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 STEP_KINDS = (
     "EntityLinking",
@@ -32,7 +32,7 @@ STEP_KINDS = (
 
 
 class TraceSchemaError(ValueError):
-    """The document is not a trace of the supported schema version."""
+    """The document is not a trace of a supported schema version."""
 
 
 @dataclass
@@ -162,7 +162,9 @@ def verify_trace(kg: KnowledgeGraph, doc: dict[str, Any]) -> VerificationReport:
     V5 depth/breadth stay within the recorded budgets. Baseline traces are
     exempt from V2-V4 (they enforce no grounding by design).
     """
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    # Schema 1 recorded subgraph triple ids where schema 2 records counts; no
+    # rule reads either, so traces of both schemas verify alike.
+    if doc.get("schema_version") not in (1, SCHEMA_VERSION):
         raise TraceSchemaError(
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )

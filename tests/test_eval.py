@@ -9,6 +9,7 @@ from groundedqa import (
     KnowledgeGraph,
     ScriptedBackend,
     SearchConfig,
+    TransportError,
     load_trace,
     run_eval,
     verify_trace,
@@ -179,6 +180,24 @@ def test_run_eval_baseline(tmp_path):
     for item in items:
         item_kg = KnowledgeGraph.load(item.kg_ref)
         assert verify_trace(item_kg, load_trace(out / f"trace_{item.id}.json")).ok
+
+
+def test_run_eval_keeps_the_results_written_before_a_failure(tmp_path):
+    dataset, triples, labels, _ = write_eval_fixture(tmp_path)
+
+    class FailsOnThirdItem(ScriptedBackend):
+        def complete(self, request):
+            if len(self.call_log) == 2:
+                raise TransportError("connection reset")
+            return super().complete(request)
+
+    backend = FailsOnThirdItem({"baseline": ["Yes.", "No."]})
+    out = tmp_path / "out"
+    with pytest.raises(TransportError):
+        run_eval(dataset, KnowledgeGraph.load(triples, labels), backend, HashedEmbedder(),
+                 out_dir=out, baseline=True)
+    results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [(r["id"], r["predicted"]) for r in results] == [("adult-1", "True"), ("quince-1", "False")]
 
 
 def test_run_eval_empty_dataset(tmp_path):

@@ -1,8 +1,11 @@
 """Golden hashes: refactors must keep trace bytes and prompt text identical.
 
-The sha256 values were recorded from the code before the branch-state
-refactor. A changed hash means a change in what the engine asks the LLM or
-writes to its trace, which needs its own justification, not a new hash.
+The prompt sha256 values were recorded from the code before the
+branch-state refactor. The trace values were re-recorded once, for trace
+schema 2, after checking that each schema-2 trace equals its schema-1 trace
+but for the version and the subgraph id lists, which became their counts.
+A changed hash means a change in what the engine asks the LLM or writes to
+its trace, which needs its own justification, not a new hash.
 """
 
 import copy
@@ -80,14 +83,14 @@ SCENARIOS = {
 }
 
 TRACE_SHA256 = {
-    "already_anchor": "dffdfedbd9a64a392f2b95ef377d46e62363a53bc06e9eebd1c2c859051839e8",
-    "branch_isolation": "e1ba34a89d91d3f88df973f74f89e4f6e8fbff2c8a30aa3329f84998551fdd77",
-    "contradiction": "c1f3708add2377083f791d624d57c0943f59bd6f051c034e162d51aad022e25c",
-    "preference": "cf70e8e1cbfe34d926b9ba530e215663ede1b0a32982e9aacb60a5da598e0878",
-    "single_hop": "ee47ae3d78e423edc3243273c4b583104c180503f679a5740d8a197b1cd4b38d",
-    "two_hop": "0aa0235c62cdfefc8ccabe1b767a90f8027fd5c6dcbfff0a9aadde11fc30c725",
-    "two_hop_no_mei": "f30ff414a2616279862672f9371ae1fa8cf053abeae7d9c22ce50d7d72c98a5a",
-    "unknown": "200a5488c2ce9d9aafd6d8a79b9bad93d116529e52d9dbab16123f27e508c9af",
+    "already_anchor": "f0da8ee1f3ccd064393073969a8b22a846836e5b4b260cbcdb468db356290ef5",
+    "branch_isolation": "596f8e14b7e34e88d04c736f3c5d9810b7ff609a98d4c0927ed5e9873aa88f59",
+    "contradiction": "6a533e81947cda92f6dd9dbe8d76510c0a01c44cff69b45f2f50df7ce6c2af36",
+    "preference": "8d625318c90e6e7d5447e9e32803e25dae2e8b2274553bb124016b5e1066e711",
+    "single_hop": "a001c62ff6d5ef5a02ebe0d17545b390e50a9e64c5549c6a0bd31a93e635bb4c",
+    "two_hop": "f9f21bf57d7cecf72fcfe368b96e61bd560e54650af2ccff43485c6717b5b2e3",
+    "two_hop_no_mei": "25bb2583709538c902667d9139e0046ca868aff789f89f905b4506d38da267b3",
+    "unknown": "0c1beb03169ca0058bcc79dafa13364b8d63dd11c81b2ac068dd73d522195e77",
 }
 
 PROMPT_CONTEXTS = {

@@ -1,4 +1,4 @@
-"""Every name a groundedqa module imports is used in that module.
+"""Every name a groundedqa, test or demo module imports is used in that module.
 
 An AST scan: a name bound by ``import`` or ``from ... import`` must appear as
 a name (or the root of an attribute chain) somewhere else in the module,
@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "groundedqa"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    p for pattern in ("src/groundedqa/*.py", "tests/*.py", "demos/*.py")
+    for p in ROOT.glob(pattern) if p.name != "__init__.py"
+)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

@@ -27,6 +27,7 @@ from fixture_data import (
     TWO_HOP_QUERY,
     TWO_HOP_SCRIPT,
 )
+from test_golden import SCENARIOS
 
 
 def adult_doc():
@@ -94,6 +95,37 @@ def test_serialization_is_byte_stable():
     assert r1.trace.to_json() == r2.trace.to_json()
 
 
+def test_subgraph_counts_match_the_recomputed_subgraphs():
+    # A trace records subgraph sizes only; the subgraphs themselves follow
+    # from the linked anchors plus each expansion's added entity.
+    expansion_counts = []
+    for kg, script, text, options, config in SCENARIOS.values():
+        backend = ScriptedBackend(copy.deepcopy(script))
+        query = Query(text, options, "multiple_choice" if options else "qa_yes_no")
+        answer = answer_multiple_choice if options else answer_query
+        doc = answer(kg, HashedEmbedder(), backend, query, config).trace.to_dict()
+
+        def size(anchors):
+            return len(kg.one_hop_subgraph(anchors).triple_ids)
+
+        linked, branch_anchors = {}, {}
+        for step in doc["steps"]:
+            payload = step["payload"]
+            key = (payload.get("option"), step["branch"])
+            if step["kind"] == "EntityLinking":
+                linked[key[0]] = [a["id"] for a in payload["anchors"]]
+            elif step["kind"] == "SubgraphExtraction":
+                assert payload["triple_count"] == size(linked[key[0]])
+            elif step["kind"] == "AxiomSurfacing":
+                branch_anchors[key] = list(linked[key[0]])
+            elif step["kind"] == "Expansion":
+                before = size(branch_anchors[key])
+                branch_anchors[key].append(payload["added_entity"])
+                assert payload["new_subgraph_count"] == size(branch_anchors[key]) - before
+                expansion_counts.append(payload["new_subgraph_count"])
+    assert 0 in expansion_counts and max(expansion_counts) > 0
+
+
 def test_non_ascii_round_trips(tmp_path):
     trace = ReasoningTrace(query={"text": "quinceañera?"}, config={})
     path = tmp_path / "t.json"
@@ -117,6 +149,30 @@ def test_wrong_schema_version_rejected():
     doc["schema_version"] = SCHEMA_VERSION + 1
     with pytest.raises(TraceSchemaError):
         verify_trace(ADULT_KG, doc)
+
+
+def test_schema_1_trace_still_verifies():
+    # Schema 1 recorded the subgraph's triple ids where schema 2 records a count.
+    doc = adult_doc()
+    doc["schema_version"] = 1
+    payload = steps_of(doc, "SubgraphExtraction")[0]["payload"]
+    del payload["triple_count"]
+    payload["triple_ids"] = sorted(ADULT_KG.one_hop_subgraph(["Q1"]).triple_ids)
+    assert verify_trace(ADULT_KG, doc).ok
+    steps_of(doc, "Evaluation")[0]["payload"]["value"] = "False"
+    assert "V2" in rules(verify_trace(ADULT_KG, doc))
+
+
+def test_v1_json_booleans_are_not_triple_ids():
+    # Python's False == 0 and True == 1, but JSON false/true cite no triple.
+    doc = adult_doc()
+    grounding_steps = steps_of(doc, "PremiseGrounding")
+    assert [s["payload"]["evidence"] for s in grounding_steps] == [[0], [1]]
+    for step, flag in zip(grounding_steps, (False, True)):
+        step["payload"]["evidence"] = [flag]
+    report = verify_trace(ADULT_KG, json.loads(json.dumps(doc)))
+    assert not report.ok and rules(report) == {"V1"}
+    assert report.grounding_precision == 0.0
 
 
 def test_v1_nonexistent_citation_flagged():
