@@ -86,12 +86,13 @@ def identify_missing(
         audit.unresolved_names += 1
         audit.event(f"mei: unresolvable entity {entity_name!r}")
         raise ExpansionFailure(f"MEI entity {entity_name!r} does not resolve")
-    subgraph_tails = {
-        kg.tail_entity(kg.triple(tid))
-        for tid in branch.subgraph.triple_ids
-    }
-    preferred = [c for c in candidates if c in subgraph_tails]
-    resolved = preferred[0] if preferred else candidates[0]
+    resolved = candidates[0]
+    if len(candidates) > 1:
+        subgraph_tails = {
+            kg.tail_entity(kg.triple(tid))
+            for tid in branch.subgraph.triple_ids
+        }
+        resolved = next((c for c in candidates if c in subgraph_tails), resolved)
     return MissingEvidence(
         description=description,
         entity_name=entity_name,

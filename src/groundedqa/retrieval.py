@@ -3,15 +3,20 @@
 Relevance is the union of two selectors: the k nearest triple verbalizations
 to the axiom text by Euclidean distance, and an LLM pick over a bounded
 candidate window. The embedder interface is ``embed_many(texts)``, one
-row per text; the reference embedder is a hashed bag of tokens so offline
-runs and tests are fully deterministic, and any other embedder can be
-dropped in behind the same interface.
+row per text (the axiom), and ``embed_triples(kg, ids)``, one row per
+triple's verbalization. The reference embedder is a hashed bag of tokens so
+offline runs and tests are fully deterministic; it keeps each scored
+triple's bucket counts per KG, because pruning scores the same subgraphs
+again and again. Any other embedder can be dropped in behind the same
+interface.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import threading
+import weakref
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -26,14 +31,9 @@ DEFAULT_DIMENSION = 256
 DEFAULT_LLM_WINDOW = 40
 
 # Rows embedded and scored at once by top_k_similar. This bounds the memory a
-# call holds (larger chunks raised peak RSS on whole-KG retrieval), so it is
-# a constant rather than a tuning knob.
-SCORE_CHUNK = 64
-
-# Texts whose bucket indices embed_many remembers, per (text, dimension).
-# Retrieval verbalizes the same triples again and again, so most lookups hit;
-# the bound keeps whole-KG retrieval from holding every text it ever saw.
-BUCKET_MEMO_SIZE = 1 << 15
+# call holds, and past it the per-chunk numpy overhead is already small, so it
+# is a constant rather than a tuning knob (see README "Retrieval scoring").
+SCORE_CHUNK = 256
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
@@ -45,7 +45,17 @@ _U64 = 2**64
 class Embedder(Protocol):
     dimension: int
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray: ...
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """One float64 row per text, shape ``(len(texts), dimension)``."""
+        ...
+
+    def embed_triples(self, kg: KnowledgeGraph, triple_ids: Sequence[int]) -> np.ndarray:
+        """A new float64 array, shape ``(len(triple_ids), dimension)``.
+
+        Row i is ``embed_many([verbalize(kg, kg.triple(triple_ids[i]))])[0]``;
+        the caller may modify the array.
+        """
+        ...
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -56,18 +66,92 @@ def _fnv1a_64(token: str) -> int:
     return h
 
 
-@functools.lru_cache(maxsize=BUCKET_MEMO_SIZE)
-def _bucket_indices(text: str, dimension: int) -> tuple[int, ...]:
-    """The bucket of each token of ``text``, in token order.
-
-    Keyed by the text, not by a triple id, so a KG whose labels change how a
-    triple verbalizes can never be served another KG's buckets.
-    """
-    return tuple(
+def _bucket_indices(text: str, dimension: int) -> list[int]:
+    """The bucket of each token of ``text``, in token order."""
+    return [
         _fnv1a_64(token) % dimension
         for token in _TOKEN_SPLIT.split(text.lower())
         if token
-    )
+    ]
+
+
+def _bucket_counts(texts: Sequence[str], dimension: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer bucket counts, shape ``(len(texts), dimension)``, row norms and token total.
+
+    A zero row's norm is 1.0, so dividing by the norms leaves it zero. The
+    sums of squares are exact integers, so ``counts / norms[:, None]`` equals
+    a one-text-at-a-time float embedding bit for bit. No count exceeds the
+    token total.
+    """
+    flat = [
+        row * dimension + bucket
+        for row, text in enumerate(texts)
+        for bucket in _bucket_indices(text, dimension)
+    ]
+    n = len(texts)
+    counts = np.bincount(
+        np.asarray(flat, dtype=np.intp), minlength=n * dimension,
+    ).reshape(n, dimension)
+    # a nonzero row's sum of squares is at least 1, so only zero rows change
+    norms = np.sqrt(np.maximum(np.vecdot(counts, counts), 1))
+    return counts, norms, len(flat)
+
+
+class _TripleRows:
+    """Bucket counts of one KG's scored triples, one row per distinct triple.
+
+    ``slots[tid]`` is the row of triple ``tid``, or -1 until it is first
+    scored. ``counts`` and ``norms`` grow by doubling; rows below ``size``
+    are never rewritten, so a reader that sees a published slot finds its
+    row in whichever ``counts`` array it reads.
+    """
+
+    def __init__(self, n_triples: int, dimension: int):
+        self.slots = np.full(n_triples, -1, dtype=np.int32)
+        self.counts = np.empty((0, dimension), dtype=np.uint8)
+        self.norms = np.empty(0)
+        self.size = 0
+
+    def rows(self, slots: np.ndarray) -> np.ndarray:
+        return self.counts[slots] / self.norms[slots, None]
+
+    def fill(self, kg: KnowledgeGraph, triple_ids: np.ndarray) -> np.ndarray:
+        """Rows of ``triple_ids``, adding those not stored yet; the caller holds the lock.
+
+        A miss is mostly a handful of ids, so the bookkeeping runs on Python
+        ints: each numpy call it saves is dearer than the loop it replaces.
+        """
+        slots = self.slots[triple_ids].tolist()
+        missing = list(dict.fromkeys(
+            tid for tid, slot in zip(triple_ids.tolist(), slots) if slot < 0
+        ))
+        if missing:
+            counts, norms, top = _bucket_counts(
+                [verbalize(kg, kg.triple(tid)) for tid in missing], self.counts.shape[1],
+            )
+            bits = 8 * self.counts.itemsize
+            if top >> bits:  # the token total bounds the counts; find the real top
+                top = int(counts.max())
+            start, end = self.size, self.size + len(missing)
+            if end > len(self.counts) or top >> bits:
+                dtype = np.promote_types(self.counts.dtype, np.min_scalar_type(top))
+                capacity = max(end, 2 * len(self.counts))
+                grown = np.empty((capacity, self.counts.shape[1]), dtype=dtype)
+                grown[:start] = self.counts[:start]
+                self.counts = grown
+                grown_norms = np.empty(capacity)
+                grown_norms[:start] = self.norms[:start]
+                self.norms = grown_norms
+            self.counts[start:end] = counts
+            self.norms[start:end] = norms
+            # publish the slots only once their rows and norms are written
+            for slot, tid in enumerate(missing, start):
+                self.slots[tid] = slot
+            self.size = end
+            if len(missing) == len(slots):
+                # every id was new and distinct, so the fresh rows are in id order
+                return counts / norms[:, None]
+        return self.rows(self.slots[triple_ids])
 
 
 class HashedEmbedder:
@@ -76,35 +160,50 @@ class HashedEmbedder:
     Tokens are lowercased alphanumeric runs; each token's FNV-1a 64-bit hash
     mod the dimension increments a bucket, then the vector is L2-normalized.
     Empty text embeds to the zero vector.
+
+    The embedder holds state: for each KG object it has scored triples of, the
+    bucket counts of those triples (``embed_triples``). The store is keyed by
+    the KG object, not by its content, so a KG built with other labels (say by
+    ``KnowledgeGraph.extended``) starts empty and is never served another
+    KG's rows, and it is freed together with its KG. One embedder may be
+    shared by concurrent evaluations.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
+        self._stores: weakref.WeakKeyDictionary[KnowledgeGraph, _TripleRows] = (
+            weakref.WeakKeyDictionary()
+        )
+        self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """One row per text, shape ``(len(texts), dimension)``.
+        """One row per text, shape ``(len(texts), dimension)``."""
+        counts, norms, _ = _bucket_counts(texts, self.dimension)
+        return counts / norms[:, None]
 
-        Bucket counts are small integers, so each row's sum of squares is
-        exact whatever the summation order and every row equals what a
-        one-text-at-a-time embedding would give, bit for bit.
+    def embed_triples(self, kg: KnowledgeGraph, triple_ids: Sequence[int]) -> np.ndarray:
+        """Rows of ``embed_many`` over the triples' verbalizations, from the KG's store.
+
+        Ids must lie in ``[0, len(kg))``. Triples not scored before are
+        verbalized and counted in one batch.
         """
-        dim = self.dimension
-        flat = [
-            row * dim + bucket
-            for row, text in enumerate(texts)
-            for bucket in _bucket_indices(text, dim)
-        ]
-        n = len(texts)
-        m = np.bincount(
-            np.asarray(flat, dtype=np.intp), minlength=n * dim,
-        ).reshape(n, dim).astype(float)
-        norms = np.sqrt(np.vecdot(m, m))
-        nonzero = norms > 0
-        m[nonzero] /= norms[nonzero, None]
-        return m
+        ids = np.asarray(triple_ids, dtype=np.intp)
+        store = self._stores.get(kg)
+        if store is None:
+            with self._lock:
+                store = self._stores.get(kg)
+                if store is None:
+                    store = self._stores[kg] = _TripleRows(len(kg), self.dimension)
+        slots = store.slots[ids]
+        if slots.min(initial=0) < 0:
+            with self._lock:
+                return store.fill(kg, ids)
+        return store.rows(slots)
 
 
 def verbalize(kg: KnowledgeGraph, triple: Triple) -> str:
@@ -137,11 +236,12 @@ def top_k_similar(
     candidates = sorted(set(triple_ids) - set(exclude))
     if k == 0 or not candidates:
         return []
+    if candidates[0] < 0 or candidates[-1] >= len(kg):
+        raise ValueError(f"triple ids must lie in [0, {len(kg)})")
     query_vec = embedder.embed_many([axiom_text])[0]
     dists = []
     for start in range(0, len(candidates), SCORE_CHUNK):
-        diff = embedder.embed_many([verbalize(kg, kg.triple(tid))
-                                    for tid in candidates[start:start + SCORE_CHUNK]])
+        diff = embedder.embed_triples(kg, candidates[start:start + SCORE_CHUNK])
         diff -= query_vec
         # vecdot reduces each row like the BLAS ddot behind np.linalg.norm on
         # one vector; einsum or (d*d).sum(1) differ in the last bit on some

@@ -126,3 +126,13 @@ def test_expand_same_entity_twice_idempotent(chain_kg):
     assert branch.subgraph.triple_ids == triples1
     assert branch.anchors.entities == anchors1
     assert branch.anchors.entities.count("Q_C") == 1
+
+
+def test_identify_missing_single_candidate_skips_the_tail_scan(chain_kg, monkeypatch):
+    calls = []
+    tail_entity = chain_kg.tail_entity
+    monkeypatch.setattr(chain_kg, "tail_entity", lambda t: calls.append(t) or tail_entity(t))
+    backend = ScriptedBackend({"mei": ["MISSING: birthplace\nENTITY: Carla Dalloglio"]})
+    m = identify_missing(**mei_args(chain_kg, backend, "Q_B", ()))
+    assert m.resolved == "Q_C"
+    assert calls == []

@@ -72,6 +72,9 @@ def test_top_k_tie_break_by_smaller_id():
         def embed_many(self, texts):
             return np.ones((len(texts), 4))
 
+        def embed_triples(self, kg, triple_ids):
+            return np.ones((len(triple_ids), 4))
+
     assert top_k_similar(ConstantEmbedder(), "q", kg, [0, 1, 2], 2) == [0, 1]
 
 

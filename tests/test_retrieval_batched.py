@@ -5,14 +5,18 @@ that the batched code replaced. Results must match them bit for bit,
 because equal distances are common and a last-bit difference reorders them.
 """
 
+import gc
 import random
 import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from groundedqa import HashedEmbedder, KnowledgeGraph
-from groundedqa.retrieval import SCORE_CHUNK, _bucket_indices, _fnv1a_64, top_k_similar, verbalize
+from groundedqa.retrieval import SCORE_CHUNK, _fnv1a_64, top_k_similar, verbalize
 
 WORDS = ["rome", "mayor", "age", "spouse", "fate", "blue", "45", "x", "née"]
 TEXTS = [
@@ -74,26 +78,6 @@ def test_embed_many_rows_equal_per_text_reference_bit_for_bit(dimension):
     assert e.embed_many([]).shape == (0, dimension)
 
 
-
-@pytest.mark.parametrize("dimension", [256, 7])
-def test_embed_many_rows_equal_with_cold_and_warm_memo(dimension):
-    e = HashedEmbedder(dimension)
-    ref = np.stack([_ref_embed(text, dimension) for text in TEXTS])
-    _bucket_indices.cache_clear()
-    cold = e.embed_many(TEXTS)
-    assert _bucket_indices.cache_info().currsize == len(set(TEXTS))
-    warm = e.embed_many(TEXTS)
-    assert _bucket_indices.cache_info().hits == len(TEXTS)
-    assert cold.tobytes() == warm.tobytes() == ref.tobytes()
-
-
-def test_bucket_memo_is_keyed_by_dimension():
-    text = TEXTS[-2]
-    _bucket_indices.cache_clear()
-    HashedEmbedder(7).embed_many([text])
-    row = HashedEmbedder(256).embed_many([text])[0]
-    assert row.tobytes() == _ref_embed(text, 256).tobytes()
-
 def _tie_heavy_kg(seed, n=2000):
     rng = random.Random(seed)
     return KnowledgeGraph([
@@ -142,3 +126,138 @@ def test_tie_heavy_kg_has_equal_distances():
         float(np.linalg.norm(_ref_embed(verbalize(kg, t), 256) - qv)) for t in kg.triples
     ]
     assert len(set(dists)) < len(dists) // 10
+
+
+def _assert_rows_equal_reference(rows, kg, ids, dimension):
+    assert rows.shape == (len(ids), dimension) and rows.dtype == np.float64
+    for row, tid in zip(rows, ids):
+        text = verbalize(kg, kg.triple(tid))
+        assert row.tobytes() == _ref_embed(text, dimension).tobytes(), (tid, text)
+
+
+def _labelled_kg():
+    """Tie-heavy triples plus labelled heads, a Unicode label and a tokenless triple."""
+    kg = _tie_heavy_kg(5, n=300)
+    triples = [(t.head, t.relation, t.tail) for t in kg.triples]
+    triples += [("E1", "spouse", "E2"), ("!!", "--", "?"), ("E3", "née", "東京 2024")]
+    return KnowledgeGraph(triples, [("E1", "Née Bérénice"), ("E2", "Rome mayor")])
+
+
+@pytest.mark.parametrize("dimension", [256, 7])
+def test_embed_triples_rows_equal_reference_cold_warm_and_partly_warm(dimension):
+    kg = _labelled_kg()
+    e = HashedEmbedder(dimension)
+    n = len(kg)
+    first = [n - 1, n - 2, n - 3] + list(range(0, 150, 2))
+    _assert_rows_equal_reference(e.embed_triples(kg, first), kg, first, dimension)  # cold
+    _assert_rows_equal_reference(e.embed_triples(kg, first), kg, first, dimension)  # warm
+    # partly warm, unsorted, with a repeated id
+    second = list(range(n - 1, 100, -1)) + [7, 7, 0]
+    _assert_rows_equal_reference(e.embed_triples(kg, second), kg, second, dimension)
+    assert e.embed_triples(kg, []).shape == (0, dimension)
+    assert not e.embed_triples(kg, [n - 2]).any()  # tokenless triple embeds to zero
+
+
+def test_top_k_equals_per_row_norm_brute_force_on_a_warm_store():
+    kg = _tie_heavy_kg(11)
+    embedder = HashedEmbedder()
+    for _ in range(2):  # the second pass is served from the store
+        for text, ids, k, exclude in _cases(kg, 12):
+            got = top_k_similar(embedder, text, kg, ids, k, exclude=exclude)
+            assert got == _ref_top_k(256, text, kg, ids, k, exclude), (len(ids), k)
+
+
+def test_store_is_per_kg_object_so_an_extended_kg_gets_its_own_rows():
+    kg = KnowledgeGraph([("E1", "spouse", "E2"), ("E1", "age", "45")], [("E1", "Rome mayor")])
+    other = kg.extended([], [("E2", "Other name")])
+    assert verbalize(other, other.triple(0)) != verbalize(kg, kg.triple(0))
+    e = HashedEmbedder()
+    base_row = e.embed_triples(kg, [0])[0]
+    other_row = e.embed_triples(other, [0])[0]
+    assert other_row.tobytes() != base_row.tobytes()
+    _assert_rows_equal_reference(e.embed_triples(other, [0, 1]), other, [0, 1], 256)
+    assert e.embed_triples(kg, [0])[0].tobytes() == base_row.tobytes()
+
+
+def test_a_count_above_255_widens_the_store():
+    kg = KnowledgeGraph([("E1", "age", "45"), ("E1", "motto", " ".join(["rome"] * 300))])
+    e = HashedEmbedder()
+    e.embed_triples(kg, [0])
+    assert e._stores[kg].counts.dtype == np.uint8
+    _assert_rows_equal_reference(e.embed_triples(kg, [1, 0]), kg, [1, 0], 256)
+    assert e._stores[kg].counts.dtype == np.uint16
+
+
+def test_store_is_freed_with_its_kg():
+    kg = _tie_heavy_kg(3, n=50)
+    e = HashedEmbedder()
+    top_k_similar(e, "rome mayor", kg, range(len(kg)), 5)
+    assert len(e._stores) == 1
+    ref = weakref.ref(kg)
+    del kg
+    gc.collect()
+    assert ref() is None and len(e._stores) == 0
+
+
+def test_top_k_scores_the_rows_the_embedder_gives():
+    kg = _tie_heavy_kg(7, n=100)
+    query = "age fate x"
+
+    class TripleTwoAtQuery(HashedEmbedder):
+        def embed_triples(self, kg, triple_ids):
+            rows = super().embed_triples(kg, triple_ids)
+            rows[[i for i, tid in enumerate(triple_ids) if tid == 2]] = self.embed(query)
+            return rows
+
+    assert top_k_similar(HashedEmbedder(), query, kg, range(len(kg)), 1) != [2]
+    assert top_k_similar(TripleTwoAtQuery(), query, kg, range(len(kg)), 1) == [2]
+
+
+def test_top_k_rejects_ids_outside_the_kg():
+    kg = KnowledgeGraph([("A", "r", "x"), ("B", "r", "y")])
+    for ids in ([-1], [0, 2], [5]):
+        with pytest.raises(ValueError):
+            top_k_similar(HashedEmbedder(), "B r y", kg, ids, 1)
+    # an excluded out-of-range id is never scored
+    assert top_k_similar(HashedEmbedder(), "B r y", kg, [1, 9], 1, exclude={9}) == [1]
+
+
+@pytest.mark.parametrize("dimension", [0, -3])
+def test_embedder_rejects_a_dimension_below_one(dimension):
+    with pytest.raises(ValueError):
+        HashedEmbedder(dimension)
+
+
+def test_threads_sharing_a_fresh_embedder_give_the_serial_picks():
+    kg = _tie_heavy_kg(13)
+    rng = random.Random(14)
+    jobs = [
+        (" ".join(rng.choices(WORDS, k=3)), range(start, start + 900), 10)
+        for start in (0, 300, 600, 900, 1100)
+    ]
+    serial = [top_k_similar(HashedEmbedder(), text, kg, ids, k) for text, ids, k in jobs]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = HashedEmbedder()
+            got = [None] * len(jobs)
+
+            def run(i):
+                text, ids, k = jobs[i]
+                got[i] = top_k_similar(shared, text, kg, ids, k)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == serial
+            store = shared._stores[kg]
+            scored = np.flatnonzero(store.slots >= 0)
+            # every scored triple got exactly one row
+            assert store.size == len(scored) == len(set(store.slots[scored].tolist()))
+            _assert_rows_equal_reference(shared.embed_triples(kg, scored), kg, scored, 256)
+    finally:
+        sys.setswitchinterval(old_interval)
