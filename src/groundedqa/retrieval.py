@@ -7,8 +7,9 @@ row per text (the axiom), and ``embed_triples(kg, ids)``, one row per
 triple's verbalization. The reference embedder is a hashed bag of tokens so
 offline runs and tests are fully deterministic; it keeps each scored
 triple's bucket counts per KG, because pruning scores the same subgraphs
-again and again. Any other embedder can be dropped in behind the same
-interface.
+again and again, and from those counts it shortlists the candidates that
+can reach the top k, so only they are scored exactly. Any other embedder
+can be dropped in behind the same interface.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 import re
 import threading
 import weakref
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -34,6 +35,17 @@ DEFAULT_LLM_WINDOW = 40
 # call holds, and past it the per-chunk numpy overhead is already small, so it
 # is a constant rather than a tuning knob (see README "Retrieval scoring").
 SCORE_CHUNK = 256
+
+# δ, a bound on the float error of a shortlist distance. HashedEmbedder.shortlist
+# approximates each candidate's squared distance to the query, a_i, within δ
+# of the square of the distance top_k_similar computes, d_i (the error is
+# about 1e-15). Let A_k be the k-th smallest a_i. At least k
+# candidates then have d² <= A_k + δ, so every triple of the true top k has
+# d² <= A_k + δ and a_i <= A_k + 2δ: keeping every candidate with
+# a_i <= A_k + 2δ keeps the whole true top k. The exact pass orders any such
+# subset by (distance, id) as it orders the full set, so it returns the same
+# k ids in the same order.
+SHORTLIST_DELTA = 1e-9
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
@@ -101,57 +113,73 @@ class _TripleRows:
     """Bucket counts of one KG's scored triples, one row per distinct triple.
 
     ``slots[tid]`` is the row of triple ``tid``, or -1 until it is first
-    scored. ``counts`` and ``norms`` grow by doubling; rows below ``size``
-    are never rewritten, so a reader that sees a published slot finds its
-    row in whichever ``counts`` array it reads.
+    scored. ``counts``, ``norms`` and ``sq_norms`` grow by doubling; rows
+    below ``size`` are never rewritten, so a reader that sees a published
+    slot finds its row in whichever array it reads.
     """
 
     def __init__(self, n_triples: int, dimension: int):
         self.slots = np.full(n_triples, -1, dtype=np.int32)
         self.counts = np.empty((0, dimension), dtype=np.uint8)
         self.norms = np.empty(0)
+        self.sq_norms = np.empty(0)  # a row's squared length: 1.0, or 0.0 for a zero row
         self.size = 0
 
     def rows(self, slots: np.ndarray) -> np.ndarray:
         return self.counts[slots] / self.norms[slots, None]
 
-    def fill(self, kg: KnowledgeGraph, triple_ids: np.ndarray) -> np.ndarray:
-        """Rows of ``triple_ids``, adding those not stored yet; the caller holds the lock.
+    def fill(self, kg: KnowledgeGraph, triple_ids: np.ndarray) -> Optional[np.ndarray]:
+        """Store the rows of ``triple_ids`` not stored yet; the caller holds the lock.
 
-        A miss is mostly a handful of ids, so the bookkeeping runs on Python
-        ints: each numpy call it saves is dearer than the loop it replaces.
+        Returns the fresh rows when every id was new and distinct, so they are
+        in id order, else None. A miss is mostly a handful of ids, so the
+        bookkeeping runs on Python ints: each numpy call it saves is dearer
+        than the loop it replaces.
         """
         slots = self.slots[triple_ids].tolist()
         missing = list(dict.fromkeys(
             tid for tid, slot in zip(triple_ids.tolist(), slots) if slot < 0
         ))
-        if missing:
-            counts, norms, top = _bucket_counts(
-                [verbalize(kg, kg.triple(tid)) for tid in missing], self.counts.shape[1],
-            )
-            bits = 8 * self.counts.itemsize
-            if top >> bits:  # the token total bounds the counts; find the real top
-                top = int(counts.max())
-            start, end = self.size, self.size + len(missing)
-            if end > len(self.counts) or top >> bits:
-                dtype = np.promote_types(self.counts.dtype, np.min_scalar_type(top))
-                capacity = max(end, 2 * len(self.counts))
-                grown = np.empty((capacity, self.counts.shape[1]), dtype=dtype)
-                grown[:start] = self.counts[:start]
-                self.counts = grown
-                grown_norms = np.empty(capacity)
-                grown_norms[:start] = self.norms[:start]
-                self.norms = grown_norms
-            self.counts[start:end] = counts
-            self.norms[start:end] = norms
-            # publish the slots only once their rows and norms are written
-            for slot, tid in enumerate(missing, start):
-                self.slots[tid] = slot
-            self.size = end
-            if len(missing) == len(slots):
-                # every id was new and distinct, so the fresh rows are in id order
-                return counts / norms[:, None]
-        return self.rows(self.slots[triple_ids])
+        if not missing:
+            return None
+        counts, norms, top = _bucket_counts(
+            [verbalize(kg, kg.triple(tid)) for tid in missing], self.counts.shape[1],
+        )
+        bits = 8 * self.counts.itemsize
+        if top >> bits:  # the token total bounds the counts; find the real top
+            top = int(counts.max())
+        start, end = self.size, self.size + len(missing)
+        if end > len(self.counts) or top >> bits:
+            dtype = np.promote_types(self.counts.dtype, np.min_scalar_type(top))
+            capacity = max(end, 2 * len(self.counts))
+            self.counts = _grown(self.counts, start, capacity, dtype)
+            self.norms = _grown(self.norms, start, capacity)
+            self.sq_norms = _grown(self.sq_norms, start, capacity)
+        self.counts[start:end] = counts
+        self.norms[start:end] = norms
+        self.sq_norms[start:end] = counts.any(axis=1)
+        # publish the slots only once their rows, norms and squared lengths are written
+        for slot, tid in enumerate(missing, start):
+            self.slots[tid] = slot
+        self.size = end
+        return counts / norms[:, None] if len(missing) == len(slots) else None
+
+    def sq_distances(self, slots: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
+        """Squared distances of the stored rows to ``query_vec``, within ``SHORTLIST_DELTA``.
+
+        Rows have length 1 or 0, so |r - q|² = |r|² + |q|² - 2 r·q, and r·q
+        reads only the query's non-zero columns.
+        """
+        nz = np.flatnonzero(query_vec)
+        dots = self.counts[slots[:, None], nz] @ query_vec[nz] / self.norms[slots]
+        return self.sq_norms[slots] + np.vecdot(query_vec, query_vec) - 2 * dots
+
+
+def _grown(values: np.ndarray, keep: int, capacity: int, dtype=np.float64) -> np.ndarray:
+    """A ``capacity``-row copy of ``values``' first ``keep`` rows."""
+    grown = np.empty((capacity, *values.shape[1:]), dtype=dtype)
+    grown[:keep] = values[:keep]
+    return grown
 
 
 class HashedEmbedder:
@@ -193,17 +221,45 @@ class HashedEmbedder:
         verbalized and counted in one batch.
         """
         ids = np.asarray(triple_ids, dtype=np.intp)
+        store = self._store(kg)
+        slots = store.slots[ids]
+        if slots.min(initial=0) < 0:
+            with self._lock:
+                fresh = store.fill(kg, ids)
+            if fresh is not None:
+                return fresh
+            slots = store.slots[ids]
+        return store.rows(slots)
+
+    def shortlist(
+        self, kg: KnowledgeGraph, triple_ids: list[int], query_vec: np.ndarray, k: int,
+    ) -> list[int]:
+        """The ids, in their order, that can be among the k rows nearest to ``query_vec``.
+
+        Every triple of the exact top k of ``embed_triples``' rows survives
+        (see ``SHORTLIST_DELTA``); ``0 < k < len(triple_ids)``. Triples not
+        scored before are stored first, ``SCORE_CHUNK`` at a time.
+        """
+        ids = np.asarray(triple_ids, dtype=np.intp)
+        store = self._store(kg)
+        slots = store.slots[ids]
+        if slots.min() < 0:
+            with self._lock:
+                for start in range(0, len(ids), SCORE_CHUNK):
+                    store.fill(kg, ids[start:start + SCORE_CHUNK])
+            slots = store.slots[ids]
+        approx = store.sq_distances(slots, query_vec)
+        bound = np.partition(approx, k - 1)[k - 1] + 2 * SHORTLIST_DELTA
+        return ids[approx <= bound].tolist()
+
+    def _store(self, kg: KnowledgeGraph) -> _TripleRows:
         store = self._stores.get(kg)
         if store is None:
             with self._lock:
                 store = self._stores.get(kg)
                 if store is None:
                     store = self._stores[kg] = _TripleRows(len(kg), self.dimension)
-        slots = store.slots[ids]
-        if slots.min(initial=0) < 0:
-            with self._lock:
-                return store.fill(kg, ids)
-        return store.rows(slots)
+        return store
 
 
 def verbalize(kg: KnowledgeGraph, triple: Triple) -> str:
@@ -229,7 +285,8 @@ def top_k_similar(
     """The k candidate triples nearest to the axiom text.
 
     Ascending Euclidean distance between embeddings, ties broken by smaller
-    triple id; excluded ids never appear.
+    triple id; excluded ids never appear. When the rows come from a
+    ``HashedEmbedder``'s own store, only its shortlist is scored exactly.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -239,6 +296,12 @@ def top_k_similar(
     if candidates[0] < 0 or candidates[-1] >= len(kg):
         raise ValueError(f"triple ids must lie in [0, {len(kg)})")
     query_vec = embedder.embed_many([axiom_text])[0]
+    # the shortlist bounds the distances of the store's rows, so an embedder
+    # that gives other rows keeps the full candidate list
+    if len(candidates) > k and (
+        getattr(embedder.embed_triples, "__func__", None) is HashedEmbedder.embed_triples
+    ):
+        candidates = embedder.shortlist(kg, candidates, query_vec, k)
     dists = []
     for start in range(0, len(candidates), SCORE_CHUNK):
         diff = embedder.embed_triples(kg, candidates[start:start + SCORE_CHUNK])

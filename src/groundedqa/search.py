@@ -196,6 +196,12 @@ def _run_branch(
             "new_pruned_ids": pruned,
             "cumulative_ids": sorted(state.consumed),
         }, branch, state.depth)
+        if not pruned:
+            # nothing new to ground on: another round would repeat the last one
+            audit.event(
+                f"branch {branch} ended at depth {state.depth}: expansion picked no new triples"
+            )
+            return "Unknown"
 
 
 def answer_query(

@@ -9,7 +9,7 @@ report means the run was grounded the way it claims to be.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -88,12 +88,21 @@ class ReasoningTrace:
         return step
 
     def to_dict(self) -> dict[str, Any]:
+        """The trace document.
+
+        It shares the step payloads, query, config, answer and audit objects
+        with the trace, so copy it (``copy.deepcopy``) before changing it.
+        """
         return {
             "schema_version": SCHEMA_VERSION,
             "baseline": self.baseline,
             "query": self.query,
             "config": self.config,
-            "steps": [asdict(s) for s in self.steps],
+            "steps": [
+                {"kind": s.kind, "payload": s.payload, "branch": s.branch,
+                 "depth": s.depth, "seq": s.seq}
+                for s in self.steps
+            ],
             "answer": self.answer,
             "audit": self.audit,
         }

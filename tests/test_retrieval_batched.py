@@ -11,12 +11,19 @@ import re
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from groundedqa import HashedEmbedder, KnowledgeGraph
+from groundedqa import HashedEmbedder, KnowledgeGraph, retrieval
 from groundedqa.retrieval import SCORE_CHUNK, _fnv1a_64, top_k_similar, verbalize
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import datagen  # noqa: E402
 
 WORDS = ["rome", "mayor", "age", "spouse", "fate", "blue", "45", "x", "née"]
 TEXTS = [
@@ -261,3 +268,114 @@ def test_threads_sharing_a_fresh_embedder_give_the_serial_picks():
             _assert_rows_equal_reference(shared.embed_triples(kg, scored), kg, scored, 256)
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def _shortlist_kg():
+    """Tie-heavy triples plus tokenless ones (zero rows) and one that widens the store."""
+    kg = _tie_heavy_kg(23, n=400)
+    triples = [(t.head, t.relation, t.tail) for t in kg.triples]
+    triples += [("!!", "--", "?"), ("E1", "motto", " ".join(["rome"] * 300)), ("?", "!", "--")]
+    return KnowledgeGraph(triples)
+
+
+SHORTLIST_KG = _shortlist_kg()
+WIDE_ID = len(SHORTLIST_KG) - 2
+TRIPLE_ID = st.integers(0, len(SHORTLIST_KG) - 1)
+
+
+class FullPath(HashedEmbedder):
+    """Gives the store's rows through an override, so top_k_similar scores every candidate."""
+
+    def embed_triples(self, kg, triple_ids):
+        return super().embed_triples(kg, triple_ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(WORDS + ["!!"]), max_size=4),
+    ids=st.lists(TRIPLE_ID, min_size=1, max_size=150),
+    repeats=st.integers(0, 20),
+    exclude=st.sets(TRIPLE_ID, max_size=15),
+    k=st.one_of(st.integers(1, 12), st.sampled_from(["n", "n+3"])),
+    warm=st.lists(TRIPLE_ID, max_size=60),
+    widen=st.booleans(),
+)
+@example(words=[], ids=list(range(len(SHORTLIST_KG))), repeats=0, exclude=set(), k=10,
+         warm=[], widen=False)  # a tokenless query: every distance is 0 or 1
+@example(words=["rome", "mayor"], ids=list(range(len(SHORTLIST_KG))), repeats=5,
+         exclude={0, 1, WIDE_ID}, k=1, warm=list(range(50)), widen=True)
+def test_shortlisted_top_k_equals_per_row_norm_brute_force(
+    words, ids, repeats, exclude, k, warm, widen,
+):
+    ids = ids + ids[:repeats]
+    n = len(set(ids) - exclude)
+    k = {"n": n, "n+3": n + 3}.get(k, k)
+    embedder = HashedEmbedder()
+    if widen:
+        embedder.embed_triples(SHORTLIST_KG, [WIDE_ID])
+        assert embedder._stores[SHORTLIST_KG].counts.dtype == np.uint16
+    embedder.embed_triples(SHORTLIST_KG, warm)
+    text = " ".join(words)
+    got = top_k_similar(embedder, text, SHORTLIST_KG, ids, k, exclude=exclude)
+    assert got == _ref_top_k(256, text, SHORTLIST_KG, ids, k, exclude)
+
+
+def test_shortlist_kg_often_ties_at_the_kth_distance():
+    """The property test is only sharp if the k-th distance is often tied past k."""
+    kg, k = SHORTLIST_KG, 10
+    rng = random.Random(29)
+    tied = 0
+    for _ in range(20):
+        text = " ".join(rng.choices(WORDS, k=3))
+        ranking = _ref_top_k(256, text, kg, range(len(kg)), len(kg))
+        qv = _ref_embed(text, 256)
+        dist = [np.linalg.norm(_ref_embed(verbalize(kg, kg.triple(t)), 256) - qv)
+                for t in ranking[k - 1:k + 1]]
+        tied += dist[0] == dist[1]
+        assert top_k_similar(HashedEmbedder(), text, kg, range(len(kg)), k) == ranking[:k]
+    assert tied >= 5
+
+
+def test_a_cold_whole_kg_call_counts_at_most_score_chunk_texts_at_once(monkeypatch):
+    kg = _tie_heavy_kg(17, n=3 * SCORE_CHUNK + 5)
+    sizes = []
+    bucket_counts = retrieval._bucket_counts
+
+    def counting(texts, dimension):
+        sizes.append(len(texts))
+        return bucket_counts(texts, dimension)
+
+    monkeypatch.setattr(retrieval, "_bucket_counts", counting)
+    got = top_k_similar(HashedEmbedder(), "rome mayor age", kg, range(len(kg)), 10)
+    assert got == _ref_top_k(256, "rome mayor age", kg, range(len(kg)), 10)
+    # the query once, then every triple once, never more than a chunk at a time
+    assert max(sizes) == SCORE_CHUNK and sum(sizes) == 1 + len(kg)
+
+
+@pytest.mark.parametrize("seed, index, rank, tied", [
+    (26, 2938, 11, range(10, 14)),  # the whole tie lies past the top 10
+    (38, 1583, 10, range(4, 11)),  # the tie spans the 10th distance
+])
+def test_benchmark_item_whose_evidence_ties_just_outside_the_top_k(
+    tmp_path, seed, index, rank, tied,
+):
+    """baseline_rr items whose evidence triple ranks 11th or 12th, tied with its neighbours.
+
+    The smaller-id tie-break orders the tie the same on every scoring path,
+    so the shortlist must keep every tied triple that can win a place.
+    """
+    gen = datagen.generate("baseline_rr", seed, tmp_path, n_items=index + 1)
+    item = gen.items[index]
+    label, relation, tail, _ = gen.plans[item.query].baseline
+    kg = KnowledgeGraph.load(gen.kg_file, gen.labels_file)
+    (head,) = kg.resolve_label(label)
+    (evidence,) = [t.id for t in kg.triples
+                   if (t.head, t.relation, t.tail) == (head, relation, tail)]
+    all_ids = range(len(kg))
+    ranking = top_k_similar(FullPath(), item.query, kg, all_ids, len(kg))
+    assert top_k_similar(HashedEmbedder(), item.query, kg, all_ids, 10) == ranking[:10]
+    assert ranking.index(evidence) == rank
+    qv = _ref_embed(item.query, 256)
+    dist = [float(np.linalg.norm(_ref_embed(verbalize(kg, kg.triple(t)), 256) - qv))
+            for t in ranking[tied.start - 1:tied.stop + 1]]
+    assert dist[0] < dist[1] == dist[-2] < dist[-1] and len(set(dist[1:-1])) == 1

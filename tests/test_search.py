@@ -225,3 +225,32 @@ def test_mei_entity_of_one_branch_does_not_leak_into_the_next():
     mei = [s for s in result.trace.steps if s.kind == "MEI"]
     assert [(s.branch, s.payload["already_anchor"]) for s in mei] == [(1, False), (2, False)]
     assert verify_trace(kg, result.trace.to_dict()).ok
+
+
+def test_branch_stops_when_its_expansion_picks_no_new_triples():
+    # MEI names the anchor again, whose only triple is already consumed, so
+    # the expansion adds nothing and a second round could only repeat the first.
+    kg = KnowledgeGraph(
+        triples=[("A", "knows", "B")],
+        labels=[("A", "Alpha"), ("B", "Beta")],
+    )
+    script = {
+        "entity_extract": ["ENTITIES: Alpha"],
+        "axiom": ["AXIOM: famous(Alpha) = yes"],
+        "triple_select": ["SELECT: 1"],
+        # padded, so that extra rounds would run rather than exhaust the script
+        "judge": ["STATUS: UNKNOWN"] * 4,
+        "mei": ["MISSING: how famous Alpha is\nENTITY: Alpha"] * 4,
+    }
+    config = SearchConfig(max_breadth=1, max_depth=3)
+    result, backend = run(kg, script, "Is Alpha famous?", config)
+    assert result.answer.value == "Unknown"
+    roles = [role for role, _, _ in backend.call_log]
+    assert roles.count("judge") == 1 and roles.count("mei") == 1
+    mei = [s for s in result.trace.steps if s.kind == "MEI"]
+    assert [s.payload["already_anchor"] for s in mei] == [True]
+    expansion = [s for s in result.trace.steps if s.kind == "Expansion"]
+    assert [s.payload["new_pruned_ids"] for s in expansion] == [[]]
+    assert result.trace.steps[-2] is expansion[0]  # the branch ended right there
+    assert any("picked no new triples" in e for e in result.audit.events)
+    assert verify_trace(kg, result.trace.to_dict()).ok
