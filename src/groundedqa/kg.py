@@ -2,7 +2,8 @@
 
 Triples are (head, relation, tail) with the head always a known entity id.
 Tails may be entity ids, free text, or numbers. The store is read-only after
-loading and safe to share across concurrent query evaluations.
+loading and safe to share across concurrent query evaluations; ``extended``
+overlays a delta on it without mutating it.
 """
 
 from __future__ import annotations
@@ -65,7 +66,17 @@ class KnowledgeGraph:
     """Triple collection plus label, alias, and head indexes.
 
     Triple ids are insertion ordinals; duplicate content lines produce
-    distinct triples so citations stay stable.
+    distinct triples so citations stay stable. The first label of an entity
+    is its primary label and every later one an alias; a head without a
+    label acts as its own. Each alias list keeps its ids in the order they
+    were added.
+
+    ``extended`` builds an overlay rather than a copy: it shares the base's
+    ``Triple`` tuples and copies the base's indexes shallowly, replacing only
+    the lists its delta appends to. Base ids are unchanged, delta ids start
+    at ``len(base)``, an alias list keeps the base's order with new ids
+    appended, and the base is never mutated, so it stays safe to share. An
+    overlay costs a shallow copy of the indexes plus the delta.
     """
 
     def __init__(
@@ -73,25 +84,43 @@ class KnowledgeGraph:
         triples: Iterable[tuple[str, str, str]] = (),
         labels: Iterable[tuple[str, str]] = (),
     ):
-        self.triples: list[Triple] = [
-            Triple(i, h, r, t) for i, (h, r, t) in enumerate(triples)
-        ]
+        self.triples: list[Triple] = []
         self.labels: dict[str, str] = {}
         self._aliases: dict[str, list[str]] = {}
         self._max_alias_len = 0
+        self.head_index: dict[str, list[int]] = {}
+        self.entities: set[str] = set()
+        self._add(triples, labels)
+
+    def _add(
+        self,
+        triples: Iterable[tuple[str, str, str]],
+        labels: Iterable[tuple[str, str]],
+    ) -> None:
+        """Append labels, then triples, to the indexes in place.
+
+        Every list this appends to must be this KG's own (see ``extended``).
+        """
         for entity_id, label in labels:
             if entity_id not in self.labels:
                 self.labels[entity_id] = label
+                self.entities.add(entity_id)
             self._add_alias(label, entity_id)
-        self.head_index: dict[str, list[int]] = {}
-        for t in self.triples:
-            self.head_index.setdefault(t.head, []).append(t.id)
-        # Heads without an explicit label act as their own label.
-        for head in self.head_index:
-            if head not in self.labels:
-                self.labels[head] = head
-                self._add_alias(head, head)
-        self.entities: set[str] = set(self.labels)
+        start = len(self.triples)
+        new = [Triple(i, h, r, t) for i, (h, r, t) in enumerate(triples, start)]
+        self.triples.extend(new)
+        head_index = self.head_index
+        for t in new:
+            ids = head_index.get(t.head)
+            if ids is not None:
+                ids.append(t.id)
+                continue
+            head_index[t.head] = [t.id]
+            # Heads without an explicit label act as their own label.
+            if t.head not in self.labels:
+                self.labels[t.head] = t.head
+                self.entities.add(t.head)
+                self._add_alias(t.head, t.head)
 
     def _add_alias(self, surface: str, entity_id: str) -> None:
         key = normalize(surface)
@@ -141,16 +170,34 @@ class KnowledgeGraph:
         extra_triples: Iterable[tuple[str, str, str]],
         extra_labels: Iterable[tuple[str, str]] = (),
     ) -> "KnowledgeGraph":
-        """A new KG with extra triples appended (the original is untouched)."""
-        triples = [(t.head, t.relation, t.tail) for t in self.triples]
-        triples.extend(extra_triples)
-        labels = list(self.labels.items())
-        for surface, ids in self._aliases.items():
-            for entity_id in ids:
-                if normalize(self.labels.get(entity_id, "")) != surface:
-                    labels.append((entity_id, surface))
-        labels.extend(extra_labels)
-        return KnowledgeGraph(triples, labels)
+        """An overlay KG with extra triples and labels appended (see the class doc).
+
+        A label for an entity that already has one becomes an alias only.
+        """
+        extra_triples = list(extra_triples)
+        extra_labels = list(extra_labels)
+        grown = object.__new__(type(self))
+        grown.triples = list(self.triples)
+        grown.labels = dict(self.labels)
+        grown._aliases = dict(self._aliases)
+        grown._max_alias_len = self._max_alias_len
+        grown.head_index = dict(self.head_index)
+        grown.entities = set(self.entities)
+        # Copy on write: give the overlay its own copy of each list _add
+        # may append to, and share every other list with the base.
+        heads = {h for h, _, _ in extra_triples}
+        for head in heads:
+            ids = self.head_index.get(head)
+            if ids is not None:
+                grown.head_index[head] = list(ids)
+        keys = {normalize(label) for _, label in extra_labels}
+        keys.update(normalize(h) for h in heads if h not in self.labels)
+        for key in keys:
+            ids = self._aliases.get(key)
+            if ids is not None:
+                grown._aliases[key] = list(ids)
+        grown._add(extra_triples, extra_labels)
+        return grown
 
     # -- lookups ---------------------------------------------------------
 

@@ -13,9 +13,10 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 ROLES = ("entity_extract", "axiom", "triple_select", "judge", "mei", "baseline")
 
@@ -107,12 +108,16 @@ class HttpBackend:
     """
 
     def __init__(self, config: HttpConfig, session: Optional[requests.Session] = None):
+        import requests  # loaded only by processes that build an HTTP backend
+
         self.config = config
         self._session = session or requests.Session()
         self._lock = threading.Lock()
         self.call_log: list[tuple[str, str, str]] = []
 
     def complete(self, request: LlmRequest) -> str:
+        import requests
+
         payload = {
             "model": self.config.model,
             "messages": [

@@ -1,8 +1,20 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundedqa import KgParseError, KnowledgeGraph, normalize
+from groundedqa import (
+    Audit,
+    KgParseError,
+    KnowledgeGraph,
+    Query,
+    ScriptedBackend,
+    anchor_entities,
+    link_lexical,
+    normalize,
+)
+from groundedqa import kg as kg_module
 from groundedqa.kg import parse_number
 
 
@@ -162,3 +174,130 @@ def test_normalize():
     assert normalize("  Alan\t Turing ") == "alan turing"
     nfd = unicodedata.normalize("NFD", "caf\u00e9")
     assert normalize(nfd) == "caf\u00e9"
+
+
+# -- extended: an overlay on a shared base --------------------------------------
+
+
+def _shared_label_kg():
+    return KnowledgeGraph(
+        [("e1", "r", "x"), ("e2", "r", "y"), ("e3", "r", "z")],
+        [("e1", "Alpha"), ("e1", "Foo"), ("e2", "Foo")],
+    )
+
+
+def test_extended_keeps_the_order_of_an_alias_list():
+    base = _shared_label_kg()
+    assert base.resolve_label("foo") == ["e1", "e2"]
+    assert base.extended([]).resolve_label("foo") == ["e1", "e2"]
+    grown = base.extended([("e4", "r", "w")], [("e4", "Foo")])
+    assert grown.resolve_label("foo") == ["e1", "e2", "e4"]
+    assert base.resolve_label("foo") == ["e1", "e2"]
+
+
+def test_linking_picks_the_same_entity_on_a_shared_label_after_extended():
+    base = _shared_label_kg()
+    grown = base.extended([("Sam", "likes", "x")])
+    query = Query(text="Does Foo like x?")
+    assert link_lexical(base, query.text) == link_lexical(grown, query.text) == ["e1", "e2"]
+    picks = []
+    for kg in (base, grown):
+        backend = ScriptedBackend({"entity_extract": ["ENTITIES: Foo"]})
+        anchors, *_ = anchor_entities(kg, backend, query, Audit())
+        picks.append(anchors.entities)
+    assert picks[0] == picks[1] == ["e1", "e2"]
+
+
+def test_extended_label_for_an_unlabelled_base_head_is_an_alias_only():
+    base = KnowledgeGraph([("H", "r", "x")])
+    grown = base.extended([], [("H", "Harold")])
+    assert grown.label_of("H") == "H"
+    assert grown.resolve_label("harold") == ["H"]
+    assert base.resolve_label("harold") == []
+
+
+def _rebuild(base, extra_triples, extra_labels):
+    """The whole-KG rebuild ``extended`` replaced: a fresh KG of the same rows.
+
+    It re-adds every primary label before any alias row, so its alias lists
+    hold the overlay's ids but not always in the overlay's order.
+    """
+    triples = [(t.head, t.relation, t.tail) for t in base.triples] + list(extra_triples)
+    labels = list(base.labels.items())
+    for surface, ids in base.alias_index().items():
+        for entity_id in ids:
+            if normalize(base.labels.get(entity_id, "")) != surface:
+                labels.append((entity_id, surface))
+    labels.extend(extra_labels)
+    return KnowledgeGraph(triples, labels)
+
+
+def _snapshot(kg):
+    return copy.deepcopy((
+        kg.triples, kg.labels, kg.alias_index(), kg.head_index, kg.entities, kg.max_alias_len(),
+    ))
+
+
+def _assert_overlay(base, grown, extra_triples, extra_labels, entities):
+    want = _rebuild(base, extra_triples, extra_labels)
+    assert grown.triples == want.triples
+    assert list(grown.labels.items()) == list(want.labels.items())
+    assert grown.entities == want.entities
+    assert grown.head_index == want.head_index
+    assert grown.max_alias_len() == want.max_alias_len()
+    for anchor in entities:
+        assert grown.one_hop_subgraph([anchor]) == want.one_hop_subgraph([anchor])
+    got, rebuilt, before = grown.alias_index(), want.alias_index(), base.alias_index()
+    assert {k: set(v) for k, v in got.items()} == {k: set(v) for k, v in rebuilt.items()}
+    for key, ids in got.items():
+        old = before.get(key, [])
+        assert ids == old + [e for e in rebuilt[key] if e not in old]
+
+
+_IDS = [f"e{i}" for i in range(5)]
+_SURFACES = ["Foo", "foo ", "Bar", "e1", "E2", "Baz  Qux", "a much longer alias"]
+_TRIPLES = st.lists(
+    st.tuples(st.sampled_from(_IDS), st.just("r"), st.sampled_from(_IDS + ["text"])), max_size=6,
+)
+_LABELS = st.lists(st.tuples(st.sampled_from(_IDS), st.sampled_from(_SURFACES)), max_size=6)
+
+
+@given(_TRIPLES, _LABELS, _TRIPLES, _LABELS, _TRIPLES, _LABELS)
+@settings(max_examples=200, deadline=None)
+def test_extended_overlay_equals_a_rebuild_and_never_touches_its_base(
+    triples, labels, d1, l1, d2, l2,
+):
+    base = KnowledgeGraph(triples, labels)
+    before = _snapshot(base)
+    first = base.extended(d1, l1)
+    second = base.extended(iter(d2), iter(l2))
+    assert _snapshot(base) == before
+    _assert_overlay(base, first, d1, l1, _IDS)
+    _assert_overlay(base, second, d2, l2, _IDS)
+    # an overlay of an overlay, and one overlay never sees the other's delta
+    chained = first.extended(d2, l2)
+    _assert_overlay(first, chained, d2, l2, _IDS)
+    _assert_overlay(base, first, d1, l1, _IDS)
+    assert _snapshot(base) == before
+
+
+def test_extended_normalizes_only_its_delta(monkeypatch):
+    base = KnowledgeGraph(
+        [(f"e{i}", "r", f"e{i + 1}") for i in range(500)],
+        [(f"e{i}", f"Name {i}") for i in range(0, 500, 2)],
+    )
+    assert len(base.alias_index()) == 500
+    calls = []
+    real = kg_module.normalize
+
+    def counting(surface):
+        calls.append(surface)
+        return real(surface)
+
+    monkeypatch.setattr(kg_module, "normalize", counting)
+    delta = [("e1", "r", "new"), ("p1", "r", "e3"), ("p2", "r", "e5")]
+    labels = [("p1", "Person One"), ("e7", "Name 8")]
+    grown = base.extended(delta, labels)
+    assert len(calls) <= 2 * (len(delta) + len(labels))
+    assert grown.resolve_label("name 8") == ["e8", "e7"]
+    assert grown.resolve_label("p2") == ["p2"]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -106,6 +109,17 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     server.server_close()
+
+
+def test_importing_the_package_does_not_load_requests():
+    code = (
+        "import sys, groundedqa, groundedqa.baseline, groundedqa.cli\n"
+        "assert 'requests' not in sys.modules, sorted(m for m in sys.modules if 'requests' in m)\n"
+    )
+    src = os.path.dirname(os.path.dirname(llm.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _ok_body(text):
