@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .entities import Query
 from .grounding import Answer
 from .kg import KnowledgeGraph
@@ -40,8 +42,7 @@ def baseline_retrieve_read(
     k: int = 10,
 ) -> tuple[Answer, ReasoningTrace]:
     """Answer directly over the k triples nearest to the query text."""
-    all_ids = [t.id for t in kg.triples]
-    picked = top_k_similar(embedder, query.text, kg, all_ids, k)
+    picked = top_k_similar(embedder, query.text, kg, np.arange(len(kg)), k)
     prompt = render_prompt(
         "baseline", {"query": query.text, "numbered_triples": numbered_triples(kg, picked)},
     )

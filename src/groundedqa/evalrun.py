@@ -44,8 +44,12 @@ class DatasetItem:
         if self.task == "preference":
             if len(self.options) < 2:
                 raise ValueError("preference items need at least 2 options")
-            if not isinstance(self.gold, int):
-                raise ValueError("preference gold must be an option index")
+            # bool is an int subclass, but a JSON true/false is not an option index
+            if type(self.gold) is not int or not 0 <= self.gold < len(self.options):
+                raise ValueError(
+                    f"preference gold must be an option index in [0, {len(self.options)}),"
+                    f" got {self.gold!r}"
+                )
         elif str(self.gold).lower() not in _GOLD_TRUE | _GOLD_FALSE:
             raise ValueError(f"gold {self.gold!r} inconsistent with task {self.task!r}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .axioms import Axiom, serialize_axiom, serialize_premise
 from .entities import AnchorEntitySet
 from .grounding import PremiseGrounding
-from .kg import KnowledgeGraph, Subgraph
+from .kg import KnowledgeGraph, Subgraph, drop_ids
 from .llm import LlmRequest, parse_mei
 from .prompts import render_prompt
 from .retrieval import Embedder, numbered_triples, prune_subgraph, top_k_similar
@@ -90,7 +90,7 @@ def identify_missing(
     if len(candidates) > 1:
         subgraph_tails = {
             kg.tail_entity(kg.triple(tid))
-            for tid in branch.subgraph.triple_ids
+            for tid in branch.subgraph.ids.tolist()
         }
         resolved = next((c for c in candidates if c in subgraph_tails), resolved)
     return MissingEvidence(
@@ -120,13 +120,12 @@ def expand(
     """
     branch.depth += 1
     if missing.already_anchor:
-        available = sorted(branch.subgraph.triple_ids - branch.consumed)
+        available = drop_ids(branch.subgraph.ids, branch.consumed)
         picked = top_k_similar(embedder, serialize_axiom(axiom), kg, available, k)
         branch.consumed.update(picked)
         return picked
     branch.anchors.add(missing.resolved, "mei")
-    extra = kg.one_hop_subgraph([missing.resolved])
-    branch.subgraph = Subgraph(branch.subgraph.triple_ids | extra.triple_ids)
+    branch.subgraph = branch.subgraph.union(kg.one_hop_subgraph([missing.resolved]))
     return prune_subgraph(
         embedder, backend, kg, axiom, branch.subgraph, k, branch.consumed, audit, llm_window,
     )

@@ -8,13 +8,17 @@ overlays a delta on it without mutating it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 import sys
 import unicodedata
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
+
+import numpy as np
 
 _NUMBER_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
 _WS_RE = re.compile(r"\s+")
@@ -55,11 +59,75 @@ class Triple(NamedTuple):
     tail: str
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """Triples whose head lies in an anchor set."""
+def id_array(triple_ids: Iterable[int]) -> np.ndarray:
+    """The ids as one sorted, distinct ``np.intp`` array.
 
-    triple_ids: frozenset[int]
+    An integer array that already is sorted and distinct is returned as it
+    is, after one pass that checks it, so passing a ``Subgraph``'s ``ids``
+    on costs no copy.
+    """
+    if isinstance(triple_ids, np.ndarray):
+        ids = triple_ids.astype(np.intp, copy=False)
+    else:
+        ids = np.fromiter(triple_ids, dtype=np.intp)
+    if np.count_nonzero(ids[1:] > ids[:-1]) < len(ids) - 1:
+        ids = _distinct(np.sort(ids))
+    return ids
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The sorted ``ids`` without repeats; ``np.unique`` is an order of magnitude slower."""
+    first = np.empty(len(ids), dtype=bool)
+    first[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return ids[first]
+
+
+def drop_ids(ids: np.ndarray, drop: Collection[int]) -> np.ndarray:
+    """The sorted, distinct ``ids`` without the ids in ``drop``.
+
+    Each id of ``drop`` is looked up by binary search. ``np.isin`` sorts
+    both arrays instead, which costs several times more on the few ids a
+    branch has consumed.
+    """
+    if not drop or not len(ids):
+        return ids
+    wanted = np.fromiter(drop, dtype=np.intp, count=len(drop))
+    pos = ids.searchsorted(wanted)
+    keep = np.ones(len(ids), dtype=bool)
+    keep[pos[ids.take(pos, mode="clip") == wanted]] = False
+    return ids[keep]
+
+
+@dataclass(frozen=True, eq=False)
+class Subgraph:
+    """Triples whose head lies in an anchor set.
+
+    ``ids`` is the one representation: a sorted, distinct, read-only
+    ``np.intp`` array, built once by ``KnowledgeGraph.one_hop_subgraph`` and
+    passed on unchanged to pruning. ``triple_ids`` is the same set as a
+    frozenset, built on first read for callers that want a set.
+    """
+
+    ids: np.ndarray
+
+    def __post_init__(self):
+        self.ids.setflags(write=False)
+
+    @functools.cached_property
+    def triple_ids(self) -> frozenset[int]:
+        return frozenset(self.ids.tolist())
+
+    def union(self, other: "Subgraph") -> "Subgraph":
+        """The triples of both subgraphs."""
+        ids = np.concatenate((self.ids, other.ids))
+        ids.sort()
+        return Subgraph(_distinct(ids))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subgraph):
+            return NotImplemented
+        return np.array_equal(self.ids, other.ids)
 
 
 class KnowledgeGraph:
@@ -69,7 +137,8 @@ class KnowledgeGraph:
     distinct triples so citations stay stable. The first label of an entity
     is its primary label and every later one an alias; a head without a
     label acts as its own. Each alias list keeps its ids in the order they
-    were added.
+    were added, and each ``head_index`` list its triple ids in ascending
+    order, so ``one_hop_subgraph`` builds its sorted id array without a set.
 
     ``extended`` builds an overlay rather than a copy: it shares the base's
     ``Triple`` tuples and copies the base's indexes shallowly, replacing only
@@ -232,10 +301,15 @@ class KnowledgeGraph:
 
     def one_hop_subgraph(self, anchors: Iterable[str]) -> Subgraph:
         """All triples whose head is in the anchor set."""
-        ids: set[int] = set()
-        for a in anchors:
-            ids.update(self.head_index.get(a, ()))
-        return Subgraph(triple_ids=frozenset(ids))
+        # a head's ids ascend and distinct heads share none, so one anchor's
+        # list is already sorted and distinct
+        lists = [self.head_index[a] for a in dict.fromkeys(anchors) if a in self.head_index]
+        ids = np.fromiter(
+            itertools.chain.from_iterable(lists), dtype=np.intp, count=sum(map(len, lists)),
+        )
+        if len(lists) > 1:
+            ids.sort()
+        return Subgraph(ids)
 
 
 def _read_lines(path: str | Path) -> Iterable[str]:

@@ -15,15 +15,16 @@ can be dropped in behind the same interface.
 from __future__ import annotations
 
 import functools
+import mmap
 import re
 import threading
 import weakref
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Collection, Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
 from .axioms import Axiom, serialize_axiom
-from .kg import KnowledgeGraph, Subgraph, Triple
+from .kg import KnowledgeGraph, Subgraph, Triple, drop_ids, id_array
 from .llm import LlmRequest, parse_select
 from .prompts import number_lines, render_prompt
 from .trace import Audit
@@ -39,7 +40,9 @@ SCORE_CHUNK = 256
 # δ, a bound on the float error of a shortlist distance. HashedEmbedder.shortlist
 # approximates each candidate's squared distance to the query, a_i, within δ
 # of the square of the distance top_k_similar computes, d_i (the error is
-# about 1e-15). Let A_k be the k-th smallest a_i. At least k
+# about 1e-15). That holds in any summation order: r·q sums one non-negative
+# term per non-zero query bucket, so any order errs by at most about
+# (terms × 2⁻⁵³) of r·q <= 1. Let A_k be the k-th smallest a_i. At least k
 # candidates then have d² <= A_k + δ, so every triple of the true top k has
 # d² <= A_k + δ and a_i <= A_k + 2δ: keeping every candidate with
 # a_i <= A_k + 2δ keeps the whole true top k. The exact pass orders any such
@@ -65,7 +68,8 @@ class Embedder(Protocol):
         """A new float64 array, shape ``(len(triple_ids), dimension)``.
 
         Row i is ``embed_many([verbalize(kg, kg.triple(triple_ids[i]))])[0]``;
-        the caller may modify the array.
+        the caller may modify the array. ``top_k_similar`` passes the ids as
+        an ``np.intp`` array.
         """
         ...
 
@@ -110,23 +114,28 @@ def _bucket_counts(texts: Sequence[str], dimension: int) -> tuple[np.ndarray, np
 
 
 class _TripleRows:
-    """Bucket counts of one KG's scored triples, one row per distinct triple.
+    """Bucket counts of one KG's scored triples, one column per distinct triple.
 
-    ``slots[tid]`` is the row of triple ``tid``, or -1 until it is first
-    scored. ``counts``, ``norms`` and ``sq_norms`` grow by doubling; rows
-    below ``size`` are never rewritten, so a reader that sees a published
-    slot finds its row in whichever array it reads.
+    ``slots[tid]`` is the column of triple ``tid``, or -1 until it is first
+    scored. ``counts`` is bucket-major, shape ``(dimension, capacity)``, so
+    the shortlist reads the query's few buckets as whole rows. ``counts``,
+    ``norms`` and ``sq_norms`` grow by doubling; columns below ``size`` are
+    never rewritten, so a reader that sees a published slot finds its column
+    in whichever array it reads.
     """
 
     def __init__(self, n_triples: int, dimension: int):
         self.slots = np.full(n_triples, -1, dtype=np.int32)
-        self.counts = np.empty((0, dimension), dtype=np.uint8)
+        self.counts = np.empty((dimension, 0), dtype=np.uint8)
         self.norms = np.empty(0)
         self.sq_norms = np.empty(0)  # a row's squared length: 1.0, or 0.0 for a zero row
         self.size = 0
 
     def rows(self, slots: np.ndarray) -> np.ndarray:
-        return self.counts[slots] / self.norms[slots, None]
+        """The embedding rows of ``slots``, C-contiguous, as ``np.vecdot`` needs them."""
+        rows = np.empty((len(slots), self.counts.shape[0]))
+        np.divide(self.counts.take(slots, axis=1).T, self.norms[slots, None], out=rows)
+        return rows
 
     def fill(self, kg: KnowledgeGraph, triple_ids: np.ndarray) -> Optional[np.ndarray]:
         """Store the rows of ``triple_ids`` not stored yet; the caller holds the lock.
@@ -142,20 +151,23 @@ class _TripleRows:
         ))
         if not missing:
             return None
+        dimension = self.counts.shape[0]
         counts, norms, top = _bucket_counts(
-            [verbalize(kg, kg.triple(tid)) for tid in missing], self.counts.shape[1],
+            [verbalize(kg, kg.triple(tid)) for tid in missing], dimension,
         )
         bits = 8 * self.counts.itemsize
         if top >> bits:  # the token total bounds the counts; find the real top
             top = int(counts.max())
         start, end = self.size, self.size + len(missing)
-        if end > len(self.counts) or top >> bits:
+        if end > self.counts.shape[1] or top >> bits:
             dtype = np.promote_types(self.counts.dtype, np.min_scalar_type(top))
-            capacity = max(end, 2 * len(self.counts))
-            self.counts = _grown(self.counts, start, capacity, dtype)
+            capacity = max(end, 2 * self.counts.shape[1])
+            grown = _bucket_major(dimension, capacity, dtype)
+            grown[:, :start] = self.counts[:, :start]
+            self.counts = grown
             self.norms = _grown(self.norms, start, capacity)
             self.sq_norms = _grown(self.sq_norms, start, capacity)
-        self.counts[start:end] = counts
+        self.counts[:, start:end] = counts.T
         self.norms[start:end] = norms
         self.sq_norms[start:end] = counts.any(axis=1)
         # publish the slots only once their rows, norms and squared lengths are written
@@ -168,18 +180,40 @@ class _TripleRows:
         """Squared distances of the stored rows to ``query_vec``, within ``SHORTLIST_DELTA``.
 
         Rows have length 1 or 0, so |r - q|² = |r|² + |q|² - 2 r·q, and r·q
-        reads only the query's non-zero columns.
+        reads only the query's non-zero buckets: a few rows of ``counts``.
         """
         nz = np.flatnonzero(query_vec)
-        dots = self.counts[slots[:, None], nz] @ query_vec[nz] / self.norms[slots]
+        dots = query_vec[nz] @ self.counts[nz].take(slots, axis=1) / self.norms[slots]
         return self.sq_norms[slots] + np.vecdot(query_vec, query_vec) - 2 * dots
 
 
-def _grown(values: np.ndarray, keep: int, capacity: int, dtype=np.float64) -> np.ndarray:
-    """A ``capacity``-row copy of ``values``' first ``keep`` rows."""
-    grown = np.empty((capacity, *values.shape[1:]), dtype=dtype)
+def _grown(values: np.ndarray, keep: int, capacity: int) -> np.ndarray:
+    """A ``capacity``-long float64 copy of ``values``' first ``keep`` entries."""
+    grown = np.empty(capacity)
     grown[:keep] = values[:keep]
     return grown
+
+
+# numpy advises huge pages for an array of this many bytes or more
+_HUGE_PAGE_ARRAY_BYTES = 4 << 20
+
+
+def _bucket_major(dimension: int, capacity: int, dtype) -> np.ndarray:
+    """An uninitialised ``(dimension, capacity)`` array for the store's counts.
+
+    Each bucket row spans the whole capacity, so filling the first columns
+    touches every row. With huge pages that makes the whole buffer resident;
+    with small pages only about ``dimension`` × the filled columns' bytes
+    are. A large buffer therefore comes from an anonymous mapping advised
+    against huge pages, where the platform allows it; an untouched page of
+    a mapping costs no memory.
+    """
+    nbytes = dimension * capacity * np.dtype(dtype).itemsize
+    if nbytes < _HUGE_PAGE_ARRAY_BYTES or not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return np.empty((dimension, capacity), dtype=dtype)
+    buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=dtype).reshape(dimension, capacity)
 
 
 class HashedEmbedder:
@@ -232,25 +266,25 @@ class HashedEmbedder:
         return store.rows(slots)
 
     def shortlist(
-        self, kg: KnowledgeGraph, triple_ids: list[int], query_vec: np.ndarray, k: int,
-    ) -> list[int]:
+        self, kg: KnowledgeGraph, triple_ids: np.ndarray, query_vec: np.ndarray, k: int,
+    ) -> np.ndarray:
         """The ids, in their order, that can be among the k rows nearest to ``query_vec``.
 
-        Every triple of the exact top k of ``embed_triples``' rows survives
-        (see ``SHORTLIST_DELTA``); ``0 < k < len(triple_ids)``. Triples not
-        scored before are stored first, ``SCORE_CHUNK`` at a time.
+        ``triple_ids`` is an ``np.intp`` array. Every triple of the exact top
+        k of ``embed_triples``' rows survives (see ``SHORTLIST_DELTA``);
+        ``0 < k < len(triple_ids)``. Triples not scored before are stored
+        first, ``SCORE_CHUNK`` at a time.
         """
-        ids = np.asarray(triple_ids, dtype=np.intp)
         store = self._store(kg)
-        slots = store.slots[ids]
+        slots = store.slots[triple_ids]
         if slots.min() < 0:
             with self._lock:
-                for start in range(0, len(ids), SCORE_CHUNK):
-                    store.fill(kg, ids[start:start + SCORE_CHUNK])
-            slots = store.slots[ids]
+                for start in range(0, len(triple_ids), SCORE_CHUNK):
+                    store.fill(kg, triple_ids[start:start + SCORE_CHUNK])
+            slots = store.slots[triple_ids]
         approx = store.sq_distances(slots, query_vec)
         bound = np.partition(approx, k - 1)[k - 1] + 2 * SHORTLIST_DELTA
-        return ids[approx <= bound].tolist()
+        return triple_ids[approx <= bound]
 
     def _store(self, kg: KnowledgeGraph) -> _TripleRows:
         store = self._stores.get(kg)
@@ -280,18 +314,20 @@ def top_k_similar(
     kg: KnowledgeGraph,
     triple_ids: Iterable[int],
     k: int,
-    exclude: set[int] = frozenset(),
+    exclude: Collection[int] = frozenset(),
 ) -> list[int]:
     """The k candidate triples nearest to the axiom text.
 
     Ascending Euclidean distance between embeddings, ties broken by smaller
-    triple id; excluded ids never appear. When the rows come from a
-    ``HashedEmbedder``'s own store, only its shortlist is scored exactly.
+    triple id; excluded ids never appear. Any iterable of ids works; a
+    sorted, distinct ``np.intp`` array such as ``Subgraph.ids`` is used as
+    it is. When the rows come from a ``HashedEmbedder``'s own store, only
+    its shortlist is scored exactly.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    candidates = sorted(set(triple_ids) - set(exclude))
-    if k == 0 or not candidates:
+    candidates = drop_ids(id_array(triple_ids), exclude)
+    if k == 0 or not len(candidates):
         return []
     if candidates[0] < 0 or candidates[-1] >= len(kg):
         raise ValueError(f"triple ids must lie in [0, {len(kg)})")
@@ -302,17 +338,18 @@ def top_k_similar(
         getattr(embedder.embed_triples, "__func__", None) is HashedEmbedder.embed_triples
     ):
         candidates = embedder.shortlist(kg, candidates, query_vec, k)
-    dists = []
+    dists = np.empty(len(candidates))
     for start in range(0, len(candidates), SCORE_CHUNK):
         diff = embedder.embed_triples(kg, candidates[start:start + SCORE_CHUNK])
         diff -= query_vec
-        # vecdot reduces each row like the BLAS ddot behind np.linalg.norm on
-        # one vector; einsum or (d*d).sum(1) differ in the last bit on some
-        # rows, which reorders equal-looking distances and changes the picks.
-        dists.append(np.sqrt(np.vecdot(diff, diff)))
+        # vecdot reduces each C-contiguous row like the BLAS ddot behind
+        # np.linalg.norm on one vector; einsum, (d*d).sum(1) or a strided row
+        # differ in the last bit on some rows, which reorders equal-looking
+        # distances and changes the picks.
+        np.sqrt(np.vecdot(diff, diff), out=dists[start:start + SCORE_CHUNK])
     # candidates ascend by id, so a stable sort breaks ties by smaller id
-    order = np.argsort(np.concatenate(dists), kind="stable")[:k]
-    return [candidates[i] for i in order]
+    order = np.argsort(dists, kind="stable")[:k]
+    return candidates[order].tolist()
 
 
 def llm_select_triples(
@@ -356,11 +393,11 @@ def prune_subgraph(
 
     The picked ids, ascending, are also added to ``consumed``.
     """
-    available = sorted(set(subgraph.triple_ids) - consumed)
+    available = drop_ids(subgraph.ids, consumed)
     top_ids = top_k_similar(
         embedder, serialize_axiom(axiom), kg, available, k,
     )
-    window = available[:llm_window]
+    window = available[:llm_window].tolist()
     llm_ids = llm_select_triples(backend, kg, axiom, window, audit) if window else set()
     picked = sorted(set(top_ids) | llm_ids)
     consumed.update(picked)

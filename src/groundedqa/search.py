@@ -102,7 +102,7 @@ def _run_option(
     subgraph = kg.one_hop_subgraph(anchors.entities)
     record("SubgraphExtraction", {
         "anchor_count": len(anchors.entities),
-        "triple_count": len(subgraph.triple_ids),
+        "triple_count": len(subgraph.ids),
     })
 
     prior_axioms: list[Axiom] = []
@@ -186,13 +186,13 @@ def _run_branch(
             "resolved": missing.resolved,
             "already_anchor": missing.already_anchor,
         }, branch, state.depth)
-        before = len(state.subgraph.triple_ids)
+        before = len(state.subgraph.ids)
         pruned = expand(
             kg, state, missing, embedder, backend, axiom, config.top_k, audit, config.llm_window,
         )
         record("Expansion", {
             "added_entity": missing.resolved,
-            "new_subgraph_count": len(state.subgraph.triple_ids) - before,
+            "new_subgraph_count": len(state.subgraph.ids) - before,
             "new_pruned_ids": pruned,
             "cumulative_ids": sorted(state.consumed),
         }, branch, state.depth)

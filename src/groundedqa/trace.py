@@ -118,8 +118,70 @@ class ReasoningTrace:
 
 
 def _dumps(doc: dict[str, Any]) -> str:
-    # Sorted keys and fixed separators keep serialization byte-stable.
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``, byte for byte.
+
+    Sorted keys and fixed separators keep serialization byte-stable. With an
+    indent the standard library encodes in pure Python through one generator
+    per container; one writer appending to one list is faster.
+    """
+    parts: list[str] = []
+    _write_json(doc, parts, "\n")
+    return "".join(parts)
+
+
+_encode_str = json.encoder.encode_basestring  # the C encoder where it is built
+_INFINITY = float("inf")
+
+
+def _write_json(value: Any, parts: list[str], newline: str) -> None:
+    """Append ``value``'s JSON to ``parts``; ``newline`` ends with its indent."""
+    if isinstance(value, str):
+        parts.append(_encode_str(value))
+    elif type(value) is int:  # the common leaf; bool and int subclasses go below
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            key = key if isinstance(key, str) else _scalar_json(key)  # as json converts keys
+            parts.append(sep + _encode_str(key) + ": ")
+            _write_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(_scalar_json(value))
+
+
+def _scalar_json(value: Any) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (_INFINITY, -_INFINITY):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def load_trace(path: str | Path) -> dict[str, Any]:

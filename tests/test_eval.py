@@ -49,6 +49,20 @@ def test_parse_item_rejects_inconsistent_gold():
         })
 
 
+@pytest.mark.parametrize("gold", [True, False, 2, -1])
+def test_preference_gold_must_be_an_option_index(tmp_path, gold):
+    raw = {"id": "p", "task": "preference", "query": "q", "gold": gold, "options": ["a", "b"]}
+    with pytest.raises(ValueError):
+        parse_item(raw)
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        json.dumps(raw) + "\n" + json.dumps({**raw, "id": "ok", "gold": 1}) + "\n",
+        encoding="utf-8",
+    )
+    items, skipped = load_dataset(path)
+    assert [i.id for i in items] == ["ok"] and skipped == 1
+
+
 def test_load_dataset_skips_malformed(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(

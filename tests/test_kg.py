@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,10 +111,18 @@ def test_one_hop_subgraph_oracle_property(data):
             max_size=60,
         )
     )
-    anchors = set(data.draw(st.lists(st.sampled_from(entities), max_size=6)))
+    anchors = data.draw(st.lists(st.sampled_from(entities + ["absent"]), max_size=6))
+    more = data.draw(st.lists(st.sampled_from(entities), max_size=3))
     kg = KnowledgeGraph(triples)
     brute = {t.id for t in kg.triples if t.head in anchors}
-    assert kg.one_hop_subgraph(anchors).triple_ids == brute
+    sg = kg.one_hop_subgraph(anchors)
+    assert sg.triple_ids == brute
+    grown = sg.union(kg.one_hop_subgraph(more))
+    assert grown.triple_ids == brute | {t.id for t in kg.triples if t.head in more}
+    for ids, want in ((sg.ids, brute), (grown.ids, grown.triple_ids)):
+        # one sorted, distinct, read-only intp array
+        assert ids.dtype == np.intp and not ids.flags.writeable
+        assert ids.tolist() == sorted(want)
 
 
 @given(st.data())

@@ -6,6 +6,7 @@ because equal distances are common and a last-bit difference reorders them.
 """
 
 import gc
+import mmap
 import random
 import re
 import sys
@@ -18,8 +19,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groundedqa import HashedEmbedder, KnowledgeGraph, retrieval
-from groundedqa.retrieval import SCORE_CHUNK, _fnv1a_64, top_k_similar, verbalize
+from groundedqa import HashedEmbedder, KnowledgeGraph, ScriptedBackend, parse_axiom, retrieval
+from groundedqa.entities import AnchorEntitySet
+from groundedqa.expansion import Branch, MissingEvidence, expand
+from groundedqa.kg import Subgraph
+from groundedqa.retrieval import (
+    SCORE_CHUNK,
+    _fnv1a_64,
+    prune_subgraph,
+    top_k_similar,
+    verbalize,
+)
+from groundedqa.trace import Audit
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -222,11 +233,50 @@ def test_top_k_scores_the_rows_the_embedder_gives():
 
 def test_top_k_rejects_ids_outside_the_kg():
     kg = KnowledgeGraph([("A", "r", "x"), ("B", "r", "y")])
-    for ids in ([-1], [0, 2], [5]):
+    for ids in ([-1], [0, 2], [5], range(3), np.array([1, -1]), np.array([2, 0], np.int32)):
         with pytest.raises(ValueError):
             top_k_similar(HashedEmbedder(), "B r y", kg, ids, 1)
     # an excluded out-of-range id is never scored
     assert top_k_similar(HashedEmbedder(), "B r y", kg, [1, 9], 1, exclude={9}) == [1]
+
+
+CONTRACT_KG = _tie_heavy_kg(31, n=600)
+CONTRACT_IDS = random.Random(32).choices(range(len(CONTRACT_KG)), k=300)  # with repeats
+ID_KINDS = {
+    "list_with_duplicates": list,
+    "set": set,
+    "frozenset": frozenset,
+    "generator": lambda ids: (tid for tid in ids),
+    "int32_array": lambda ids: np.array(ids, dtype=np.int32),
+    "int64_array": lambda ids: np.array(ids, dtype=np.int64),
+    "sorted_distinct_intp_array": lambda ids: np.array(sorted(set(ids)), dtype=np.intp),
+}
+EXCLUDES = {
+    "none": frozenset(),
+    "disjoint": frozenset(set(range(len(CONTRACT_KG))) - set(CONTRACT_IDS)),
+    "overlapping": frozenset(CONTRACT_IDS[::3] + [len(CONTRACT_KG) + 5, -2]),
+    "covering": frozenset(CONTRACT_IDS),
+}
+
+
+@pytest.mark.parametrize("exclude", sorted(EXCLUDES))
+@pytest.mark.parametrize("kind", sorted(ID_KINDS))
+def test_top_k_picks_are_the_same_for_every_kind_of_id_collection(kind, exclude):
+    exclude = EXCLUDES[exclude]
+    embedder = HashedEmbedder()
+    for k in (1, 10, 400):
+        got = top_k_similar(
+            embedder, "rome mayor age", CONTRACT_KG, ID_KINDS[kind](CONTRACT_IDS), k, exclude,
+        )
+        assert got == _ref_top_k(256, "rome mayor age", CONTRACT_KG, CONTRACT_IDS, k, exclude)
+        assert all(type(tid) is int for tid in got)  # trace documents need plain ints
+
+
+def test_top_k_takes_a_range():
+    kg = CONTRACT_KG
+    for ids in (range(len(kg)), range(50, 400, 3), range(0)):
+        got = top_k_similar(HashedEmbedder(), "fate blue 45", kg, ids, 10)
+        assert got == _ref_top_k(256, "fate blue 45", kg, ids, 10)
 
 
 @pytest.mark.parametrize("dimension", [0, -3])
@@ -379,3 +429,71 @@ def test_benchmark_item_whose_evidence_ties_just_outside_the_top_k(
     dist = [float(np.linalg.norm(_ref_embed(verbalize(kg, kg.triple(t)), 256) - qv))
             for t in ranking[tied.start - 1:tied.stop + 1]]
     assert dist[0] < dist[1] == dist[-2] < dist[-1] and len(set(dist[1:-1])) == 1
+
+
+def _hub_kg():
+    """One hub head with 2000 triples, plus a tail entity that has triples of its own."""
+    rng = random.Random(41)
+    triples = [("HUB", rng.choice(WORDS), " ".join(rng.choices(WORDS, k=2)))
+               for _ in range(2000)]
+    triples += [("HUB", "spouse", "E2"), ("E2", "age", "45"), ("E2", "fate", "rome")]
+    return KnowledgeGraph(triples)
+
+
+def test_pruning_a_hub_never_reads_the_subgraph_as_a_set(monkeypatch):
+    """Pruning, on the search path and on both expansion paths, reads only ``Subgraph.ids``."""
+    kg, axiom = _hub_kg(), parse_axiom("age(E2) >= 18")
+    hub = kg.one_hop_subgraph(["HUB"])
+    monkeypatch.setattr(Subgraph, "triple_ids", property(
+        lambda self: pytest.fail("pruning built the subgraph's frozenset")))
+    backend = ScriptedBackend({"triple_select": ["SELECT: 1,2", "SELECT: 1"]})
+    embedder, audit = HashedEmbedder(), Audit()
+    anchors = AnchorEntitySet(entities=[], provenance={})
+    anchors.add("HUB", "lexical")
+    branch = Branch(anchors, hub)
+    picked = prune_subgraph(embedder, backend, kg, axiom, hub, 10, branch.consumed, audit)
+    assert len(picked) >= 10
+    for missing in (MissingEvidence("more", "HUB", "HUB", True),
+                    MissingEvidence("age", "E2", "E2", False)):
+        assert expand(kg, branch, missing, embedder, backend, axiom, 10, audit, 40)
+    assert branch.subgraph.ids.tolist() == list(range(len(kg)))  # the hub's and E2's triples
+
+
+def test_store_rows_are_c_contiguous_and_exact_across_doubling_and_widening(monkeypatch):
+    # a small huge-page bound, so growth also moves the counts into a mapped buffer
+    monkeypatch.setattr(retrieval, "_HUGE_PAGE_ARRAY_BYTES", 256 * 16)
+    kg, e = SHORTLIST_KG, HashedEmbedder()
+    batches = [[0, 1, 2], list(range(3, 12)), list(range(12, 40)), [WIDE_ID, 40], [41, 0, 42]]
+    layouts, scored = [], []
+    for batch in batches:
+        rows = e.embed_triples(kg, batch)
+        assert rows.flags.c_contiguous
+        scored += batch
+        counts = e._stores[kg].counts
+        layouts.append((counts.shape, counts.dtype))
+    assert {shape[0] for shape, _ in layouts} == {256}  # bucket-major
+    assert len({shape[1] for shape, _ in layouts}) == 4  # 3, 12, 40, then doubled to 80
+    assert not e._stores[kg].counts.flags.owndata  # it lives in a mapped buffer
+    assert [dtype for _, dtype in layouts] == [np.uint8] * 3 + [np.uint16] * 2
+    rng = random.Random(43)
+    order = rng.sample(scored, len(scored))
+    rows = e.embed_triples(kg, order)
+    assert rows.flags.c_contiguous
+    for row, tid in zip(rows, order):
+        want = e.embed_many([verbalize(kg, kg.triple(tid))])[0]
+        assert row.tobytes() == want.tobytes(), tid
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_NOHUGEPAGE") or not Path("/proc/self/statm").exists(),
+                    reason="needs madvise(MADV_NOHUGEPAGE) and /proc")
+def test_filling_the_first_columns_of_a_large_count_buffer_keeps_the_rest_off_memory():
+    def resident_bytes():
+        return int(Path("/proc/self/statm").read_text().split()[1]) * mmap.PAGESIZE
+
+    capacity = 16 * mmap.PAGESIZE  # each bucket row spans 16 pages: 16 MiB with 4 KiB pages
+    before = resident_bytes()
+    counts = retrieval._bucket_major(256, capacity, np.uint8)
+    counts[:, :8] = 1  # touches a page in every bucket row
+    grew = resident_bytes() - before
+    assert (counts[:, :8] == 1).all()
+    assert grew <= counts.nbytes // 4, grew  # about one page per bucket row, not all 16

@@ -2,6 +2,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groundedqa import (
     HashedEmbedder,
@@ -13,7 +15,7 @@ from groundedqa import (
     load_trace,
     verify_trace,
 )
-from groundedqa.trace import SCHEMA_VERSION, TraceSchemaError
+from groundedqa.trace import SCHEMA_VERSION, TraceSchemaError, _dumps
 
 from fixture_data import (
     ADULT_KG,
@@ -132,6 +134,47 @@ def test_non_ascii_round_trips(tmp_path):
     trace.save(path)
     assert load_trace(path)["query"]["text"] == "quinceañera?"
     assert "quinceañera" in path.read_text(encoding="utf-8")
+
+
+_JSON_TEXT = st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7fé東😀\u2028 '))
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+@example({})
+@example({"a": [], "b": {}, "c": [{}, [[]]], "": None})
+@example({"x": [True, False, 0, -1, 2**70, 0.1, -0.0, 1e300, "ö\"\\\n"]})
+@example([float("inf"), float("-inf"), float("nan"), {"k": -1e-300}])
+def test_dumps_matches_the_standard_library_byte_for_byte(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("keys", [[1, "b"], [2.5, True], [None, False], [10, 9]])
+def test_dumps_converts_non_string_keys_like_the_standard_library(keys):
+    value = dict.fromkeys(keys, 0)
+    try:
+        want = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _dumps(value)
+    else:
+        assert _dumps(value) == want
+
+
+def test_dumps_rejects_what_json_cannot_encode():
+    with pytest.raises(TypeError):
+        _dumps({"x": {1, 2}})
 
 
 # -- verification -------------------------------------------------------------
