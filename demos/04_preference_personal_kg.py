@@ -36,9 +36,9 @@ kg = shared_kg.extended([
 ])
 
 backend = ScriptedBackend({
+    # linking runs once per query, so one answer serves both options
     "entity_extract": [
-        "ENTITIES: Sam; Pulled Pork in a Crockpot with garlic",
-        "ENTITIES: Sam; Shredded barbecued pork shoulder",
+        "ENTITIES: Sam; Pulled Pork in a Crockpot with garlic; Shredded barbecued pork shoulder",
     ],
     "axiom": [
         "The dish must be pulled and must not conflict with Sam's allergies.\n"

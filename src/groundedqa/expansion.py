@@ -28,8 +28,8 @@ class ExpansionFailure(RuntimeError):
 class Branch:
     """Search state of one axiom branch, and its only owner.
 
-    A branch starts from its own copy of the option's linked anchors and
-    1-hop subgraph; ``expand`` grows only this copy, in place.
+    A branch starts from its own copy of the item's linked anchors and from
+    the item's read-only 1-hop subgraph; ``expand`` grows only this branch.
     """
 
     anchors: AnchorEntitySet

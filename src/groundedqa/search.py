@@ -1,11 +1,14 @@
 """Tree-structured query controller.
 
 Breadth iterates over surfaced axioms, depth over evidence expansions, and
-for multiple choice an outer loop walks the options in order. A True or
-False evaluation ends the search immediately (for multiple choice, False
-ends only that option); exhausting every branch yields Unknown rather than
-a guess. Each branch searches on its own ``Branch`` state, so evidence that
-one branch's expansions add never reaches another branch.
+for multiple choice an outer loop walks the options in order. Entity linking
+and 1-hop subgraph extraction run once per item, before that loop; every
+option records the same ``EntityLinking`` and ``SubgraphExtraction`` payloads.
+A True or False evaluation ends the search immediately (for multiple choice,
+False ends only that option); exhausting every branch yields Unknown rather
+than a guess. Each branch searches on its own ``Branch`` state, copied from
+the shared linking result, so evidence that one branch's expansions add
+never reaches another branch or option.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from .axioms import Axiom, AxiomSyntaxError, parse_axiom, serialize_axiom, seria
 from .entities import AnchorEntitySet, Query, anchor_entities
 from .expansion import Branch, ExpansionFailure, expand, identify_missing
 from .grounding import Answer, GroundingStatus, evaluate_axiom, ground_premise
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, Subgraph
 from .llm import LlmRequest, parse_axiom_block
 from .prompts import render_prompt
-from .retrieval import Embedder, prune_subgraph
+from .retrieval import DEFAULT_LLM_WINDOW, Embedder, prune_subgraph
 from .trace import Audit, ReasoningTrace
 
 
@@ -34,7 +37,7 @@ class SearchConfig:
     max_breadth: int = 2
     max_depth: int = 3
     top_k: int = 10
-    llm_window: int = 40
+    llm_window: int = DEFAULT_LLM_WINDOW
 
     def __post_init__(self):
         for name in ("max_breadth", "max_depth", "top_k", "llm_window"):
@@ -84,6 +87,8 @@ def _run_option(
     config: SearchConfig,
     trace: ReasoningTrace,
     audit: Audit,
+    linked: tuple[AnchorEntitySet, list[str], list[str], list[str]],
+    subgraph: Subgraph,
     option: Optional[str],
     option_index: Optional[int],
 ) -> tuple[str, int]:
@@ -92,14 +97,14 @@ def _run_option(
     def record(kind: str, payload: dict, branch: int = 0, depth: int = 0) -> None:
         trace.record(kind, {"option": option_index, **payload}, branch=branch, depth=depth)
 
-    anchors, lexical, llm_names, unresolved = anchor_entities(kg, backend, query, audit)
+    anchors, lexical, llm_names, unresolved = linked
+    # fresh lists per option, so no two trace steps share a payload object
     record("EntityLinking", {
-        "lexical": lexical,
-        "llm_names": llm_names,
-        "unresolved": unresolved,
+        "lexical": list(lexical),
+        "llm_names": list(llm_names),
+        "unresolved": list(unresolved),
         "anchors": [{"id": e, "provenance": anchors.provenance[e]} for e in anchors.entities],
     })
-    subgraph = kg.one_hop_subgraph(anchors.entities)
     record("SubgraphExtraction", {
         "anchor_count": len(anchors.entities),
         "triple_count": len(subgraph.ids),
@@ -243,7 +248,12 @@ def _answer(
         config=asdict(config),
     )
     audit = Audit()
-    run_option = partial(_run_option, kg, embedder, backend, query, config, trace, audit)
+    # one linking call per item: its prompt holds only the query text
+    linked = anchor_entities(kg, backend, query, audit)
+    subgraph = kg.one_hop_subgraph(linked[0].entities)
+    run_option = partial(
+        _run_option, kg, embedder, backend, query, config, trace, audit, linked, subgraph,
+    )
     if multiple_choice:
         answer, branches = Answer(value="Unknown"), 0
         for idx, option in enumerate(query.options):

@@ -124,9 +124,9 @@ PREFERENCE_OPTIONS = (
 PREFERENCE_GOLD = 1  # the distractor (option 0) violates the allium allergy
 
 PREFERENCE_SCRIPT = {
+    # one linking answer per item, shared by both options
     "entity_extract": [
-        "ENTITIES: Sam; Pulled Pork in a Crockpot with garlic",
-        "ENTITIES: Sam; Shredded barbecued pork shoulder",
+        "ENTITIES: Sam; Pulled Pork in a Crockpot with garlic; Shredded barbecued pork shoulder",
     ],
     "axiom": [
         "The dish must be pulled and must not conflict with Sam's allergies.\n"

@@ -4,6 +4,10 @@ The prompt sha256 values were recorded from the code before the
 branch-state refactor. The trace values were re-recorded once, for trace
 schema 2, after checking that each schema-2 trace equals its schema-1 trace
 but for the version and the subgraph id lists, which became their counts.
+The ``preference`` trace was re-recorded when entity linking moved to once
+per item, because its script then holds one linking answer for both options
+(the union of the two per-option answers); the code before that move, given
+that answer once per option, writes the same bytes.
 A changed hash means a change in what the engine asks the LLM or writes to
 its trace, which needs its own justification, not a new hash.
 """
@@ -86,7 +90,7 @@ TRACE_SHA256 = {
     "already_anchor": "f0da8ee1f3ccd064393073969a8b22a846836e5b4b260cbcdb468db356290ef5",
     "branch_isolation": "596f8e14b7e34e88d04c736f3c5d9810b7ff609a98d4c0927ed5e9873aa88f59",
     "contradiction": "6a533e81947cda92f6dd9dbe8d76510c0a01c44cff69b45f2f50df7ce6c2af36",
-    "preference": "8d625318c90e6e7d5447e9e32803e25dae2e8b2274553bb124016b5e1066e711",
+    "preference": "71781f8365cdb86556abc2a828f2256e629bc4bfaddfdb3db9feade479d0433d",
     "single_hop": "a001c62ff6d5ef5a02ebe0d17545b390e50a9e64c5549c6a0bd31a93e635bb4c",
     "two_hop": "f9f21bf57d7cecf72fcfe368b96e61bd560e54650af2ccff43485c6717b5b2e3",
     "two_hop_no_mei": "25bb2583709538c902667d9139e0046ca868aff789f89f905b4506d38da267b3",

@@ -164,9 +164,9 @@ def test_multiple_choice_all_false_is_unknown():
         "entity_extract": PREFERENCE_SCRIPT["entity_extract"],
         # both options draw the distractor axiom, which the allergy violates
         "axiom": [PREFERENCE_SCRIPT["axiom"][0], PREFERENCE_SCRIPT["axiom"][0]],
+        # both options share the item's anchors, so option 2 also grounds the
+        # R1 preparation premise symbolically and needs no judge
         "triple_select": ["SELECT: 1", "SELECT: 1"],
-        # option 2 lacks the R1 preparation triple, so that premise needs a judge
-        "judge": ["STATUS: UNKNOWN"],
     }
     result, backend = run(
         PREFERENCE_KG, script, PREFERENCE_QUERY,
@@ -175,6 +175,74 @@ def test_multiple_choice_all_false_is_unknown():
     assert result.answer.value == "Unknown"
     assert result.answer.selected_option is None
     assert backend.remaining() == {}
+
+
+def test_multiple_choice_links_once_per_item():
+    # PREFERENCE_SCRIPT holds one entity_extract line for its two options
+    result, backend = run(
+        PREFERENCE_KG, PREFERENCE_SCRIPT, PREFERENCE_QUERY,
+        options=PREFERENCE_OPTIONS, task="multiple_choice",
+    )
+    assert [s.payload["option"] for s in result.trace.steps if s.kind == "OptionResult"] == [0, 1]
+    assert backend.remaining() == {}
+    roles = [role for role, _, _ in backend.call_log]
+    assert roles.count("entity_extract") == 1
+    for kind in ("EntityLinking", "SubgraphExtraction"):
+        payloads = [s.payload for s in result.trace.steps if s.kind == kind]
+        assert [p["option"] for p in payloads] == [0, 1]
+        assert {**payloads[0], "option": 1} == payloads[1]
+
+
+@pytest.mark.parametrize("response, counter", [
+    ("no entity line here", "parse_failures"),
+    ("ENTITIES: Nobody", "unresolved_names"),
+])
+def test_linking_failure_is_audited_once_per_item(response, counter):
+    kg = KnowledgeGraph(triples=[("A", "age", "10")], labels=[("A", "Alpha")])
+    script = {
+        "entity_extract": [response],
+        # the lexical linker still finds Alpha; both options come out False
+        "axiom": ["AXIOM: age(A) >= 18"] * 2,
+        "triple_select": ["SELECT: 1"] * 2,
+    }
+    result, backend = run(
+        kg, script, "Is Alpha an adult?", SearchConfig(max_breadth=1),
+        options=("yes", "no"), task="multiple_choice",
+    )
+    assert result.answer.value == "Unknown"
+    assert backend.remaining() == {}
+    assert result.trace.audit == {
+        "rejected_citations": 0, "unresolved_names": 0, "parse_failures": 0, counter: 1,
+    }
+
+
+def test_expansion_under_one_option_leaves_the_next_options_linking_alone():
+    # Option 0 expands to Beta; option 1 must still start from Alpha alone.
+    kg = KnowledgeGraph(
+        triples=[("A", "knows", "B"), ("B", "age", "20")],
+        labels=[("A", "Alpha"), ("B", "Beta")],
+    )
+    script = {
+        "entity_extract": ["ENTITIES: Alpha"],
+        "axiom": ["AXIOM: foo(B)", "no rule for this option"],
+        "triple_select": ["SELECT: 1"] * 2,
+        "judge": ["STATUS: UNKNOWN"] * 2,
+        "mei": ["MISSING: facts about Beta\nENTITY: Beta"],
+    }
+    config = SearchConfig(max_breadth=1, max_depth=1)
+    result, backend = run(
+        kg, script, "Does Alpha know an adult?", config,
+        options=("yes", "no"), task="multiple_choice",
+    )
+    assert backend.remaining() == {}
+    expansion = [s.payload for s in result.trace.steps if s.kind == "Expansion"]
+    assert [(p["option"], p["added_entity"]) for p in expansion] == [(0, "B")]
+    linking = [s.payload for s in result.trace.steps if s.kind == "EntityLinking"]
+    assert linking[1]["option"] == 1
+    assert [a["id"] for a in linking[1]["anchors"]] == ["A"]
+    extraction = [s.payload for s in result.trace.steps if s.kind == "SubgraphExtraction"]
+    assert [(p["option"], p["triple_count"]) for p in extraction] == [(0, 1), (1, 1)]
+    assert verify_trace(kg, result.trace.to_dict()).ok
 
 
 def test_call_budget_is_bounded():

@@ -26,10 +26,14 @@ def sample_kg():
 
 def run_shipped(name, kg, tmp_path):
     script = json.loads((DATA / "scripts" / f"{name}_script.json").read_text())
-    return run_eval(
+    backend = ScriptedBackend(script)
+    metrics = run_eval(
         DATA / "datasets" / f"{name}.jsonl", kg,
-        ScriptedBackend(script), HashedEmbedder(), out_dir=tmp_path / name,
+        backend, HashedEmbedder(), out_dir=tmp_path / name,
     )
+    # each script is used exactly: a stale one with lines to spare fails too
+    assert backend.remaining() == {}, name
+    return metrics
 
 
 def test_qa_dataset(sample_kg, tmp_path):
