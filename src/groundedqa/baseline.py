@@ -14,7 +14,7 @@ import numpy as np
 from .entities import Query
 from .grounding import Answer
 from .kg import KnowledgeGraph
-from .llm import LlmRequest
+from .llm import ask
 from .prompts import render_prompt
 from .retrieval import Embedder, numbered_triples, top_k_similar
 from .trace import Audit, ReasoningTrace
@@ -46,7 +46,8 @@ def baseline_retrieve_read(
     prompt = render_prompt(
         "baseline", {"query": query.text, "numbered_triples": numbered_triples(kg, picked)},
     )
-    response = backend.complete(LlmRequest(role="baseline", rendered_prompt=prompt))
+    audit = Audit()  # the parser is the identity: the trace keeps the raw response
+    response = ask(backend, "baseline", prompt, lambda text: text, audit)
     value = map_keyword_answer(response)
     trace = ReasoningTrace(
         query={"text": query.text, "options": list(query.options), "task": query.task},
@@ -56,5 +57,5 @@ def baseline_retrieve_read(
     trace.record("Pruning", {"option": None, "new_ids": picked, "cumulative_ids": picked})
     trace.record("FinalAnswer", {"value": value, "selected_option": None, "raw_response": response})
     trace.answer = {"value": value, "selected_option": None}
-    trace.audit = Audit().counters()
+    trace.audit = audit.counters()
     return Answer(value=value), trace

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kg import KnowledgeGraph, normalize
-from .llm import LlmRequest, parse_entities
+from .llm import ask, parse_entities
 from .prompts import render_prompt
 from .trace import Audit
 
@@ -84,13 +84,7 @@ def link_lexical(kg: KnowledgeGraph, query_text: str) -> list[str]:
 def extract_entities_llm(backend, query_text: str, audit: Audit) -> list[str]:
     """LLM-proposed entity names; unparseable responses audit as empty."""
     prompt = render_prompt("entity_extract", {"query": query_text})
-    response = backend.complete(LlmRequest(role="entity_extract", rendered_prompt=prompt))
-    names = parse_entities(response)
-    if names is None:
-        audit.parse_failures += 1
-        audit.event("entity_extract: unparseable response")
-        return []
-    return names
+    return ask(backend, "entity_extract", prompt, parse_entities, audit) or []
 
 
 def anchor_entities(

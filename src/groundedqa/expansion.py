@@ -14,7 +14,7 @@ from .axioms import Axiom, serialize_axiom, serialize_premise
 from .entities import AnchorEntitySet
 from .grounding import PremiseGrounding
 from .kg import KnowledgeGraph, Subgraph, drop_ids
-from .llm import LlmRequest, parse_mei
+from .llm import ask, parse_mei
 from .prompts import render_prompt
 from .retrieval import Embedder, numbered_triples, prune_subgraph, top_k_similar
 from .trace import Audit
@@ -72,11 +72,8 @@ def identify_missing(
             "numbered_triples": numbered_triples(kg, sorted(branch.consumed)),
         },
     )
-    response = backend.complete(LlmRequest(role="mei", rendered_prompt=prompt))
-    parsed = parse_mei(response)
+    parsed = ask(backend, "mei", prompt, parse_mei, audit)
     if parsed is None:
-        audit.parse_failures += 1
-        audit.event("mei: unparseable response")
         raise ExpansionFailure("unparseable MEI response")
     description, entity_name = parsed
     candidates = kg.resolve_label(entity_name)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional
 
 from .axioms import Axiom, Premise, serialize_premise
 from .kg import KnowledgeGraph, Triple, normalize, parse_number
-from .llm import LlmRequest, parse_judge
+from .llm import ask, parse_judge
 from .prompts import render_prompt
 from .retrieval import numbered_triples
 from .trace import Audit
@@ -146,11 +146,8 @@ def ground_premise_judge(
         {"premise_text": serialize_premise(premise),
          "numbered_triples": numbered_triples(kg, presented)},
     )
-    response = backend.complete(LlmRequest(role="judge", rendered_prompt=prompt))
-    parsed = parse_judge(response, len(presented))
+    parsed = ask(backend, "judge", prompt, lambda r: parse_judge(r, len(presented)), audit)
     if parsed is None:
-        audit.parse_failures += 1
-        audit.event(f"judge: unparseable response for premise {serialize_premise(premise)}")
         return PremiseGrounding(premise, GroundingStatus.UNKNOWN, frozenset(), "llm_judge")
     status_token, indices, dropped = parsed
     for token in dropped:

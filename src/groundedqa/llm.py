@@ -1,9 +1,10 @@
-"""LLM backends and the line-oriented response grammars.
+"""LLM backends, the one exchange function ``ask``, and the response grammars.
 
-Two backends share one interface: a chat-completions HTTP client and a
-deterministic scripted backend used by tests and offline runs. Response
-parsing is total: a malformed response yields an empty/Unknown value plus
-an audit event, never an aborted query.
+Two backends share one interface: a chat-completions HTTP client (temperature
+0, no transcript kept) and a deterministic scripted backend used by tests and
+offline runs. Every role's call goes through ``ask``: a malformed response
+yields None plus one counted parse failure and audit event, which the caller
+turns into its empty/Unknown value, never an aborted query.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
+
+from .axioms import AxiomSyntaxError
+from .trace import Audit
 
 if TYPE_CHECKING:
     import requests
@@ -35,7 +39,6 @@ class ScriptExhaustedError(RuntimeError):
 class LlmRequest:
     role: str
     rendered_prompt: str
-    temperature: float = 0.0
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -112,8 +115,6 @@ class HttpBackend:
 
         self.config = config
         self._session = session or requests.Session()
-        self._lock = threading.Lock()
-        self.call_log: list[tuple[str, str, str]] = []
 
     def complete(self, request: LlmRequest) -> str:
         import requests
@@ -124,7 +125,7 @@ class HttpBackend:
                 {"role": "system", "content": self.config.system_prompt},
                 {"role": "user", "content": request.rendered_prompt},
             ],
-            "temperature": request.temperature,
+            "temperature": 0.0,
         }
         headers = {"Content-Type": "application/json"}
         key = self.config.resolved_api_key()
@@ -152,8 +153,6 @@ class HttpBackend:
                     text = resp.json()["choices"][0]["message"]["content"]
                 except (ValueError, KeyError, IndexError, TypeError) as exc:
                     raise TransportError(f"malformed completion response: {exc}") from exc
-                with self._lock:
-                    self.call_log.append((request.role, request.rendered_prompt, text))
                 return text
             last_error = f"HTTP {resp.status_code}"
             if resp.status_code == 429:
@@ -177,6 +176,24 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[int]:
     except ValueError:
         return None
     return seconds if seconds >= 0 else None
+
+
+def ask(backend, role: str, prompt: str, parse: Callable[[str], Any], audit: Audit) -> Any:
+    """Send ``prompt`` for ``role`` and parse the reply; None if ``parse`` rejects it.
+
+    A rejection (``parse`` returns None or raises ``AxiomSyntaxError``) counts
+    one parse failure and one audit event. Other exceptions propagate.
+    """
+    response = backend.complete(LlmRequest(role=role, rendered_prompt=prompt))
+    detail = ""
+    try:
+        parsed = parse(response)
+    except AxiomSyntaxError as exc:
+        parsed, detail = None, f": {exc}"  # the message ends with the position
+    if parsed is None:
+        audit.parse_failures += 1
+        audit.event(f"{role}: unparseable response{detail}")
+    return parsed
 
 
 # -- response grammars -----------------------------------------------------
@@ -252,8 +269,11 @@ def _parse_indices(raw: str, n_candidates: int) -> tuple[list[int], list[str]]:
         token = token.strip()
         if not token:
             continue
-        if token.isdigit() and 1 <= int(token) <= n_candidates:
-            idx = int(token)
+        try:  # isdecimal, not isdigit: int() rejects digits such as "²" and "①"
+            idx = int(token) if token.isdecimal() else 0
+        except ValueError:  # more digits than int() will read
+            idx = 0
+        if 1 <= idx <= n_candidates:
             if idx not in indices:
                 indices.append(idx)
         else:

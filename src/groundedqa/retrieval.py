@@ -25,7 +25,7 @@ import numpy as np
 
 from .axioms import Axiom, serialize_axiom
 from .kg import KnowledgeGraph, Subgraph, Triple, drop_ids, id_array
-from .llm import LlmRequest, parse_select
+from .llm import ask, parse_select
 from .prompts import number_lines, render_prompt
 from .trace import Audit
 
@@ -366,11 +366,9 @@ def llm_select_triples(
         {"axiom_text": serialize_axiom(axiom),
          "numbered_triples": numbered_triples(kg, candidates)},
     )
-    response = backend.complete(LlmRequest(role="triple_select", rendered_prompt=prompt))
-    parsed = parse_select(response, len(candidates))
+    parsed = ask(backend, "triple_select", prompt,
+                 lambda r: parse_select(r, len(candidates)), audit)
     if parsed is None:
-        audit.parse_failures += 1
-        audit.event("triple_select: unparseable response")
         return set()
     indices, dropped = parsed
     for token in dropped:

@@ -17,19 +17,15 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional
 
-from .axioms import Axiom, AxiomSyntaxError, parse_axiom, serialize_axiom, serialize_premise
+from .axioms import Axiom, parse_axiom, serialize_axiom, serialize_premise
 from .entities import AnchorEntitySet, Query, anchor_entities
 from .expansion import Branch, ExpansionFailure, expand, identify_missing
 from .grounding import Answer, GroundingStatus, evaluate_axiom, ground_premise
 from .kg import KnowledgeGraph, Subgraph
-from .llm import LlmRequest, parse_axiom_block
+from .llm import ask, parse_axiom_block
 from .prompts import render_prompt
 from .retrieval import DEFAULT_LLM_WINDOW, Embedder, prune_subgraph
 from .trace import Audit, ReasoningTrace
-
-
-class SurfacingError(RuntimeError):
-    """The axiom response had no parseable structured form; branch is skipped."""
 
 
 @dataclass
@@ -58,8 +54,9 @@ def surface_axiom(
     query: Query,
     option: Optional[str],
     prior_axioms: list[Axiom],
-) -> Axiom:
-    """Prompt for a fresh axiom (distinct from prior ones) and parse it."""
+    audit: Audit,
+) -> Optional[Axiom]:
+    """Prompt for a fresh axiom (distinct from prior ones); None if unparseable."""
     prompt = render_prompt(
         "axiom",
         {
@@ -68,15 +65,12 @@ def surface_axiom(
             "prior_axioms": [serialize_axiom(a) for a in prior_axioms],
         },
     )
-    response = backend.complete(LlmRequest(role="axiom", rendered_prompt=prompt))
+    return ask(backend, "axiom", prompt, _parse_surfaced, audit)
+
+
+def _parse_surfaced(response: str) -> Optional[Axiom]:
     block = parse_axiom_block(response)
-    if block is None:
-        raise SurfacingError("response has no AXIOM line")
-    grammar_text, natural_text = block
-    try:
-        return parse_axiom(grammar_text, natural_text=natural_text)
-    except AxiomSyntaxError as exc:
-        raise SurfacingError(f"unparseable AXIOM block: {exc}") from exc
+    return None if block is None else parse_axiom(block[0], natural_text=block[1])
 
 
 def _run_option(
@@ -112,11 +106,8 @@ def _run_option(
 
     prior_axioms: list[Axiom] = []
     for branch in range(1, config.max_breadth + 1):
-        try:
-            axiom = surface_axiom(backend, query, option, prior_axioms)
-        except SurfacingError as exc:
-            audit.parse_failures += 1
-            audit.event(f"axiom surfacing failed on branch {branch}: {exc}")
+        axiom = surface_axiom(backend, query, option, prior_axioms, audit)
+        if axiom is None:
             continue
         prior_axioms.append(axiom)
         record("AxiomSurfacing", {

@@ -1,9 +1,13 @@
-"""Every name a groundedqa, test or demo module imports is used in that module.
+"""AST scans of the groundedqa, test and demo modules.
 
-An AST scan: a name bound by ``import`` or ``from ... import`` must appear as
-a name (or the root of an attribute chain) somewhere else in the module,
-string annotations included. ``__init__.py`` is exempt, since its imports are
-the package's re-exports.
+Every name a module imports is used in it: a name bound by ``import`` or
+``from ... import`` must appear as a name (or the root of an attribute chain)
+somewhere else in the module, string annotations included. ``__init__.py`` is
+exempt, since its imports are the package's re-exports.
+
+Only ``llm.py`` talks to a backend: no other groundedqa module calls
+``.complete(`` or builds an ``LlmRequest``, so every exchange goes through
+``llm.ask`` and its parse-failure policy.
 """
 
 import ast
@@ -57,3 +61,34 @@ def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Optional, List\nx: 'List[int]' = os.sep\n")
     used = _used(tree)
     assert [n for n in _imported(tree) if n not in used] == ["Optional"]
+
+
+def _exchanges(tree: ast.Module) -> list[int]:
+    """Lines of every ``.complete(...)`` call and ``LlmRequest(...)`` construction."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "LlmRequest" or (name == "complete" and isinstance(func, ast.Attribute)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+PACKAGE = sorted(p for p in ROOT.glob("src/groundedqa/*.py") if p.name != "llm.py")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_only_llm_module_calls_a_backend(path):
+    lines = _exchanges(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}: backend exchange outside llm.ask on lines {lines}"
+
+
+def test_scan_flags_a_direct_exchange():
+    tree = ast.parse(
+        "r = backend.complete(LlmRequest('judge', p))\n"
+        "q = llm.LlmRequest(role='mei', rendered_prompt=p)\n"
+        "complete(x)\n"
+    )
+    assert _exchanges(tree) == [1, 1, 2]

@@ -9,14 +9,23 @@ import pytest
 
 from groundedqa import llm
 from groundedqa import (
+    AnchorEntitySet,
+    GroundingStatus,
     HttpBackend,
     HttpConfig,
+    KnowledgeGraph,
     LlmRequest,
+    Query,
     ScriptedBackend,
     ScriptExhaustedError,
     TransportError,
+    parse_axiom,
 )
+from groundedqa.entities import extract_entities_llm
+from groundedqa.expansion import Branch, ExpansionFailure, identify_missing
+from groundedqa.grounding import ground_premise_judge
 from groundedqa.llm import (
+    ask,
     parse_axiom_block,
     parse_entities,
     parse_judge,
@@ -24,6 +33,9 @@ from groundedqa.llm import (
     parse_select,
 )
 from groundedqa.prompts import PromptContextError, render_prompt
+from groundedqa.retrieval import llm_select_triples
+from groundedqa.search import surface_axiom
+from groundedqa.trace import Audit
 
 
 # -- scripted backend --------------------------------------------------------
@@ -231,6 +243,19 @@ def test_parse_judge():
     assert parse_judge("free text", 3) is None
 
 
+@pytest.mark.parametrize("token", ["²", "①", "1" * 5000], ids=["superscript", "circled", "5000-digit"])
+def test_index_tokens_int_cannot_read_are_dropped(token):
+    assert parse_select(f"SELECT: {token}", 5) == ([], [token])
+    assert parse_judge(f"STATUS: SATISFIED\nEVIDENCE: {token}", 5) == ("SATISFIED", [], [token])
+
+
+def test_indices_around_an_unreadable_token_keep_their_meaning():
+    assert parse_select("SELECT: 1,²,3", 5) == ([1, 3], ["²"])
+    assert parse_judge("STATUS: VIOLATED\nEVIDENCE: 1,²,3", 5) == ("VIOLATED", [1, 3], ["²"])
+    # other scripts' decimal digits and leading zeros read as they always did
+    assert parse_select("SELECT: \u0663,02", 5) == ([3, 2], [])
+
+
 def test_parse_mei():
     assert parse_mei("MISSING: a fact\nENTITY: Carla") == ("a fact", "Carla")
     assert parse_mei("MISSING: a fact") is None
@@ -269,3 +294,71 @@ def test_entity_extract_prompt_contains_query_verbatim():
 def test_missing_context_field_is_contract_error():
     with pytest.raises(PromptContextError):
         render_prompt("judge", {"premise_text": "p(A)"})
+
+
+# -- the exchange seam -------------------------------------------------------
+
+POLICY_KG = KnowledgeGraph(triples=[("Q1", "age", "45")], labels=[("Q1", "Virginia Raggi")])
+POLICY_AXIOM = parse_axiom("adult(Q1)")
+
+
+def _entity_extract(backend, audit):
+    return extract_entities_llm(backend, "Is Virginia Raggi an adult?", audit)
+
+
+def _axiom(backend, audit):
+    return surface_axiom(backend, Query("Is Virginia Raggi an adult?"), None, [], audit)
+
+
+def _triple_select(backend, audit):
+    return llm_select_triples(backend, POLICY_KG, POLICY_AXIOM, [0], audit)
+
+
+def _judge(backend, audit):
+    premise = POLICY_AXIOM.clauses[0][0]
+    return ground_premise_judge(POLICY_KG, backend, premise, [0], audit).status
+
+
+def _mei(backend, audit):
+    anchors = AnchorEntitySet(["Q1"], {"Q1": "lexical"})
+    branch = Branch(anchors, POLICY_KG.one_hop_subgraph(["Q1"]), {0})
+    with pytest.raises(ExpansionFailure):
+        identify_missing(POLICY_KG, backend, "q", POLICY_AXIOM, branch, [], audit)
+
+
+@pytest.mark.parametrize("role, call, reply, empty", [
+    ("entity_extract", _entity_extract, "Virginia Raggi", []),
+    ("axiom", _axiom, "Adults are at least 18 years old.", None),
+    ("axiom", _axiom, "AXIOM: adult(Q1) AND", None),
+    ("triple_select", _triple_select, "The first one.", set()),
+    ("judge", _judge, "It holds.", GroundingStatus.UNKNOWN),
+    ("mei", _mei, "MISSING: the age", None),
+], ids=["entity_extract", "axiom-no-line", "axiom-grammar", "triple_select", "judge", "mei"])
+def test_unparseable_reply_is_one_failure_and_one_event(role, call, reply, empty):
+    backend = ScriptedBackend({role: [reply]})
+    audit = Audit()
+    assert call(backend, audit) == empty
+    assert backend.remaining() == {}
+    assert audit.parse_failures == 1
+    assert len(audit.events) == 1
+    assert audit.events[0].startswith(f"{role}: unparseable response")
+    if reply.startswith("AXIOM:"):
+        assert audit.events[0].endswith("(at position 13)")
+
+
+def test_ask_returns_the_parsed_reply_and_records_nothing():
+    audit = Audit()
+    backend = ScriptedBackend({"mei": ["MISSING: a\nENTITY: B"]})
+    assert ask(backend, "mei", "p", parse_mei, audit) == ("a", "B")
+    assert backend.call_log == [("mei", "p", "MISSING: a\nENTITY: B")]
+    assert audit.parse_failures == 0 and audit.events == []
+
+
+def test_ask_lets_other_parser_errors_propagate():
+    def parse(response):
+        raise ValueError("parser bug")
+
+    audit = Audit()
+    with pytest.raises(ValueError, match="parser bug"):
+        ask(ScriptedBackend({"judge": ["x"]}), "judge", "p", parse, audit)
+    assert audit.parse_failures == 0 and audit.events == []

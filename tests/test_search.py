@@ -66,6 +66,14 @@ def test_single_hop_true_at_depth_zero():
     assert report.ok and report.grounding_precision == 1.0
 
 
+def test_unreadable_select_index_is_dropped_not_raised():
+    script = {**ADULT_SCRIPT, "triple_select": ["SELECT: ²"]}
+    result, backend = run(ADULT_KG, script, ADULT_QUERY)
+    assert result.answer.value == "True"
+    assert backend.remaining() == {}
+    assert "triple_select: dropped invalid index '²'" in result.audit.events
+
+
 def test_two_hop_true_after_one_expansion():
     result, backend = run(TWO_HOP_KG, TWO_HOP_SCRIPT, TWO_HOP_QUERY)
     assert result.answer.value == "True"
