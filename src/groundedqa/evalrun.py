@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
@@ -26,6 +27,8 @@ TASK_MAP = {"qa": "qa_yes_no", "claim": "claim", "preference": "multiple_choice"
 
 _GOLD_TRUE = {"yes", "correct", "true"}
 _GOLD_FALSE = {"no", "incorrect", "false"}
+# An item's id names its trace file, so it may hold no path separator or NUL.
+_UNSAFE_ID_CHARS = frozenset(c for c in ("/", os.sep, os.altsep, "\0") if c)
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,13 @@ def parse_item(raw: dict[str, Any]) -> DatasetItem:
 def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
     """Parse a JSONL dataset; malformed items are skipped with a warning.
 
+    An item's id names its trace file, so an item whose id is empty, holds a
+    path separator or NUL, or repeats an earlier item's id is malformed too.
     A relative ``kg_ref`` is resolved against the dataset file's directory,
     so the dataset loads the same from any working directory.
     """
     items: list[DatasetItem] = []
+    ids: set[str] = set()
     skipped = 0
     base = Path(path).parent
     with open(path, encoding="utf-8") as f:
@@ -95,12 +101,17 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
                 continue
             try:
                 item = parse_item(json.loads(line))
+                if item.id in ids:
+                    raise ValueError(f"repeated item id {item.id!r}")
+                if not item.id or not _UNSAFE_ID_CHARS.isdisjoint(item.id):
+                    raise ValueError(f"item id {item.id!r} cannot name a trace file")
                 if item.kg_ref:
                     item = replace(item, kg_ref=str(base / item.kg_ref))
             except (ValueError, KeyError, TypeError) as exc:
                 skipped += 1
                 log.warning("skipping malformed item at line %d: %s", line_no, exc)
                 continue
+            ids.add(item.id)
             items.append(item)
     return items, skipped
 

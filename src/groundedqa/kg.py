@@ -13,10 +13,12 @@ import itertools
 import re
 import sys
 import unicodedata
+from collections import ChainMap
+from collections.abc import KeysView, MutableMapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Collection, Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -136,16 +138,20 @@ class KnowledgeGraph:
     Triple ids are insertion ordinals; duplicate content lines produce
     distinct triples so citations stay stable. The first label of an entity
     is its primary label and every later one an alias; a head without a
-    label acts as its own. Each alias list keeps its ids in the order they
-    were added, and each ``head_index`` list its triple ids in ascending
-    order, so ``one_hop_subgraph`` builds its sorted id array without a set.
+    label acts as its own, so ``labels`` holds every entity. Each alias list
+    keeps its ids in the order they were added, and each ``head_index`` list
+    its triple ids in ascending order, so ``one_hop_subgraph`` builds its
+    sorted id array without a set.
 
-    ``extended`` builds an overlay rather than a copy: it shares the base's
-    ``Triple`` tuples and copies the base's indexes shallowly, replacing only
-    the lists its delta appends to. Base ids are unchanged, delta ids start
-    at ``len(base)``, an alias list keeps the base's order with new ids
-    appended, and the base is never mutated, so it stays safe to share. An
-    overlay costs a shallow copy of the indexes plus the delta.
+    ``extended`` builds an overlay rather than a copy: its ``triples`` read
+    the base's list below ``len(base)`` and its own above, and each of its
+    indexes is a ``ChainMap`` whose first map holds only the delta's entries
+    and which falls through to the base's index for every other key. Base
+    ids are unchanged, delta ids start at ``len(base)``, an alias list keeps
+    the base's order with new ids appended, and the base is never mutated,
+    so it stays safe to share. An overlay costs O(delta) to build and to
+    free, whatever the base's size; it holds the base's containers, so they
+    live as long as it does. A loaded KG keeps plain lists and dicts.
     """
 
     def __init__(
@@ -153,13 +159,17 @@ class KnowledgeGraph:
         triples: Iterable[tuple[str, str, str]] = (),
         labels: Iterable[tuple[str, str]] = (),
     ):
-        self.triples: list[Triple] = []
-        self.labels: dict[str, str] = {}
-        self._aliases: dict[str, list[str]] = {}
+        self.triples: Sequence[Triple] = []
+        self.labels: MutableMapping[str, str] = {}
+        self._aliases: MutableMapping[str, list[str]] = {}
         self._max_alias_len = 0
-        self.head_index: dict[str, list[int]] = {}
-        self.entities: set[str] = set()
+        self.head_index: MutableMapping[str, list[int]] = {}
         self._add(triples, labels)
+
+    @property
+    def entities(self) -> KeysView[str]:
+        """Every entity id: each labelled entity and each triple head."""
+        return self.labels.keys()
 
     def _add(
         self,
@@ -173,7 +183,6 @@ class KnowledgeGraph:
         for entity_id, label in labels:
             if entity_id not in self.labels:
                 self.labels[entity_id] = label
-                self.entities.add(entity_id)
             self._add_alias(label, entity_id)
         start = len(self.triples)
         new = [Triple(i, h, r, t) for i, (h, r, t) in enumerate(triples, start)]
@@ -188,7 +197,6 @@ class KnowledgeGraph:
             # Heads without an explicit label act as their own label.
             if t.head not in self.labels:
                 self.labels[t.head] = t.head
-                self.entities.add(t.head)
                 self._add_alias(t.head, t.head)
 
     def _add_alias(self, surface: str, entity_id: str) -> None:
@@ -246,12 +254,11 @@ class KnowledgeGraph:
         extra_triples = list(extra_triples)
         extra_labels = list(extra_labels)
         grown = object.__new__(type(self))
-        grown.triples = list(self.triples)
-        grown.labels = dict(self.labels)
-        grown._aliases = dict(self._aliases)
+        grown.triples = _Stacked(self.triples)
+        grown.labels = ChainMap({}, self.labels)
+        grown._aliases = ChainMap({}, self._aliases)
         grown._max_alias_len = self._max_alias_len
-        grown.head_index = dict(self.head_index)
-        grown.entities = set(self.entities)
+        grown.head_index = ChainMap({}, self.head_index)
         # Copy on write: give the overlay its own copy of each list _add
         # may append to, and share every other list with the base.
         heads = {h for h, _, _ in extra_triples}
@@ -297,7 +304,7 @@ class KnowledgeGraph:
 
     def tail_entity(self, triple: Triple) -> Optional[str]:
         """The tail as an entity id, if it resolves to a known entity."""
-        return triple.tail if triple.tail in self.entities else None
+        return triple.tail if triple.tail in self.labels else None
 
     def one_hop_subgraph(self, anchors: Iterable[str]) -> Subgraph:
         """All triples whose head is in the anchor set."""
@@ -310,6 +317,39 @@ class KnowledgeGraph:
         if len(lists) > 1:
             ids.sort()
         return Subgraph(ids)
+
+
+class _Stacked(Sequence):
+    """The base's triples followed by the overlay's own; ``extend`` adds to the own."""
+
+    __slots__ = ("base", "own")
+
+    def __init__(self, base: Sequence[Triple]):
+        self.base = base
+        self.own: list[Triple] = []
+
+    def extend(self, triples: Iterable[Triple]) -> None:
+        self.own.extend(triples)
+
+    def __len__(self) -> int:
+        return len(self.base) + len(self.own)
+
+    def __getitem__(self, i: int) -> Triple:
+        n = len(self.base)
+        if 0 <= i < n:
+            return self.base[i]
+        if i >= n:
+            return self.own[i - n]
+        m = len(self.own)  # a negative index counts from the end, as on a list
+        return self.own[i] if i >= -m else self.base[i + m]
+
+    def __iter__(self) -> Iterator[Triple]:
+        return itertools.chain(self.base, self.own)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def _read_lines(path: str | Path) -> Iterable[str]:

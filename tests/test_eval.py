@@ -78,6 +78,53 @@ def test_load_dataset_skips_malformed(tmp_path):
     assert skipped == 2
 
 
+def _qa_line(item_id, query="q"):
+    return json.dumps({"id": item_id, "task": "qa", "query": query, "gold": "Yes"}) + "\n"
+
+
+@pytest.mark.parametrize("bad_id", ["", "a/b", "../x", "nul\0id"])
+def test_load_dataset_skips_an_id_that_cannot_name_a_trace_file(tmp_path, bad_id):
+    path = tmp_path / "d.jsonl"
+    path.write_text(_qa_line("ok") + _qa_line(bad_id) + _qa_line("ok2"), encoding="utf-8")
+    items, skipped = load_dataset(path)
+    assert [i.id for i in items] == ["ok", "ok2"] and skipped == 1
+
+
+def test_load_dataset_skips_a_repeated_id_but_not_a_malformed_items_id(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        json.dumps({"id": "a", "task": "qa", "query": "q"}) + "\n"  # no gold: skipped
+        + _qa_line("a", "first") + _qa_line("b") + _qa_line("a", "second") + _qa_line("1")
+        + json.dumps({"id": 1, "task": "qa", "query": "q", "gold": "No"}) + "\n",
+        encoding="utf-8",
+    )
+    items, skipped = load_dataset(path)
+    assert [(i.id, i.query) for i in items] == [("a", "first"), ("b", "q"), ("1", "q")]
+    assert skipped == 3
+
+
+def test_run_eval_writes_one_trace_per_result_line_despite_bad_ids(tmp_path):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text(
+        _qa_line("a", "Is Q1 an adult?") + _qa_line("a", "Is Q1 old?") + _qa_line("x/y")
+        + _qa_line("../z") + _qa_line("b", "Is Q2 an adult?"),
+        encoding="utf-8",
+    )
+    backend = ScriptedBackend({"baseline": ["Yes.", "No."]})
+    out = tmp_path / "out"
+    metrics = run_eval(dataset, KnowledgeGraph([("Q1", "age", "45")]), backend,
+                       HashedEmbedder(), out_dir=out, baseline=True)
+    assert metrics.n_items == 2 and metrics.skipped == 3
+    assert backend.remaining() == {}
+    results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [r["id"] for r in results] == ["a", "b"]
+    for row, query in zip(results, ["Is Q1 an adult?", "Is Q2 an adult?"]):
+        assert load_trace(row["trace"])["query"]["text"] == query
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics.json", "results.jsonl", "trace_a.json", "trace_b.json",
+    ]
+
+
 def test_is_correct_rules():
     qa = DatasetItem(id="1", task="qa", query="q", gold="Yes")
     assert is_correct(qa, "True", None)

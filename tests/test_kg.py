@@ -1,4 +1,7 @@
 import copy
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -243,7 +246,7 @@ def _rebuild(base, extra_triples, extra_labels):
 
 def _snapshot(kg):
     return copy.deepcopy((
-        kg.triples, kg.labels, kg.alias_index(), kg.head_index, kg.entities, kg.max_alias_len(),
+        kg.triples, kg.labels, kg.alias_index(), kg.head_index, set(kg.entities), kg.max_alias_len(),
     ))
 
 
@@ -261,6 +264,34 @@ def _assert_overlay(base, grown, extra_triples, extra_labels, entities):
     for key, ids in got.items():
         old = before.get(key, [])
         assert ids == old + [e for e in rebuilt[key] if e not in old]
+    _assert_same_lookups(grown, want, entities, [s for _, s in extra_labels])
+
+
+def _assert_same_lookups(grown, want, entities, surfaces):
+    """Every lookup method of the overlay answers as the rebuild does.
+
+    Alias lists are compared in the overlay's order, which the caller has
+    checked, through a KG whose alias index holds exactly those lists.
+    """
+    assert set(grown.entities) == set(grown.labels)
+    assert len(grown) == len(want)
+    for i in range(-len(want), len(want)):  # a negative id counts from the end, as on a list
+        assert grown.triple(i) == want.triple(i)
+        assert grown.tail_entity(grown.triple(i)) == want.tail_entity(want.triple(i))
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            grown.triple(i)
+    for i in (-1, 0, len(want) - 1, len(want), True):
+        assert grown.has_triple(i) == want.has_triple(i)
+    for entity_id in [*entities, "text", "nobody"]:
+        assert grown.label_of(entity_id) == want.label_of(entity_id)
+        assert (entity_id in grown.entities) == (entity_id in want.entities)
+    ordered = KnowledgeGraph((), [(e, key) for key, ids in grown.alias_index().items() for e in ids])
+    joined = " or ".join(surfaces)
+    for surface in [*_SURFACES, *entities, *surfaces, "text", "nobody"]:
+        assert grown.resolve_label(surface) == ordered.resolve_label(surface)
+        query = f"Is {surface} the one, or {joined}?"
+        assert link_lexical(grown, query) == link_lexical(ordered, query)
 
 
 _IDS = [f"e{i}" for i in range(5)]
@@ -277,6 +308,7 @@ def test_extended_overlay_equals_a_rebuild_and_never_touches_its_base(
     triples, labels, d1, l1, d2, l2,
 ):
     base = KnowledgeGraph(triples, labels)
+    assert set(base.entities) == set(base.labels)
     before = _snapshot(base)
     first = base.extended(d1, l1)
     second = base.extended(iter(d2), iter(l2))
@@ -310,3 +342,49 @@ def test_extended_normalizes_only_its_delta(monkeypatch):
     assert len(calls) <= 2 * (len(delta) + len(labels))
     assert grown.resolve_label("name 8") == ["e8", "e7"]
     assert grown.resolve_label("p2") == ["p2"]
+
+
+# -- extended: cost guards on a large base ---------------------------------------
+
+_DELTA = [("e1", "likes", "e3"), ("p1", "r", "e5"), ("p1", "age", "29"), ("p2", "r", "p1"),
+          ("e2", "r", "x")]
+_DELTA_LABELS = [("p1", "Person One"), ("e7", "Name 8")]
+
+
+@pytest.fixture(scope="module")
+def large_kg():
+    """1e5 triples over 2e4 heads, half of them labelled."""
+    return KnowledgeGraph(
+        [(f"e{i % 20_000}", "r", f"e{i * 7 % 20_000}") for i in range(100_000)],
+        [(f"e{i}", f"Name {i}") for i in range(0, 20_000, 2)],
+    )
+
+
+def test_extended_allocates_for_its_delta_not_for_its_base(large_kg):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        copied = list(large_kg.triples)
+        copy_bytes = tracemalloc.get_traced_memory()[1] - start
+        del copied
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        grown = large_kg.extended(_DELTA, _DELTA_LABELS)
+        overlay_bytes = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert copy_bytes > 512 * 1024  # the tracer sees a copy of the base's triples
+    assert overlay_bytes < 64 * 1024
+    assert len(grown) == len(large_kg) + len(_DELTA)
+    assert grown.resolve_label("name 8") == ["e8", "e7"]
+
+
+def test_a_freed_overlay_leaves_its_base_as_it_was(large_kg):
+    before = _snapshot(large_kg)
+    grown = large_kg.extended(_DELTA, _DELTA_LABELS)
+    assert grown.one_hop_subgraph(["p1"]).triple_ids == {len(large_kg) + 1, len(large_kg) + 2}
+    freed = weakref.ref(grown)
+    del grown
+    gc.collect()
+    assert freed() is None
+    assert _snapshot(large_kg) == before
