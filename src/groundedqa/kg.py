@@ -23,7 +23,9 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 _NUMBER_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
-_WS_RE = re.compile(r"\s+")
+_SEPARATORS_RE = re.compile(r"[\t\n\r]")
+# characters of lines ``load`` reads per chunk; bounds its transient memory
+_CHUNK_CHARS = 1 << 18
 
 
 class KgParseError(ValueError):
@@ -37,8 +39,7 @@ class KgParseError(ValueError):
 
 def normalize(surface: str) -> str:
     """Canonical form used for all name matching: NFC, lowercase, single spaces."""
-    s = unicodedata.normalize("NFC", surface)
-    return _WS_RE.sub(" ", s).strip().lower()
+    return " ".join(unicodedata.normalize("NFC", surface).split()).lower()
 
 
 def parse_number(token: str) -> Optional[Decimal]:
@@ -53,12 +54,15 @@ def parse_number(token: str) -> Optional[Decimal]:
 
 
 class Triple(NamedTuple):
-    """One immutable triple; a tuple, so a large KG stays small in memory."""
+    """One immutable triple, built on demand by ``KnowledgeGraph.triple``."""
 
     id: int
     head: str
     relation: str
     tail: str
+
+
+_new_tuple = tuple.__new__
 
 
 def id_array(triple_ids: Iterable[int]) -> np.ndarray:
@@ -133,25 +137,28 @@ class Subgraph:
 
 
 class KnowledgeGraph:
-    """Triple collection plus label, alias, and head indexes.
+    """Triple columns plus label, alias, and head indexes.
 
-    Triple ids are insertion ordinals; duplicate content lines produce
-    distinct triples so citations stay stable. The first label of an entity
-    is its primary label and every later one an alias; a head without a
-    label acts as its own, so ``labels`` holds every entity. Each alias list
-    keeps its ids in the order they were added, and each ``head_index`` list
-    its triple ids in ascending order, so ``one_hop_subgraph`` builds its
-    sorted id array without a set.
+    The triples are stored as three parallel columns of interned strings
+    (heads, relations, tails); ``triple(i)`` builds the ``Triple`` of row
+    ``i`` when it is asked for, and ``triples`` is a read-only sequence
+    view over the rows. Triple ids are insertion ordinals; duplicate content
+    lines produce distinct triples so citations stay stable. The first label
+    of an entity is its primary label and every later one an alias; a head
+    without a label acts as its own, so ``labels`` holds every entity. Each
+    alias list keeps its ids in the order they were added, and each
+    ``head_index`` list its triple ids in ascending order, so
+    ``one_hop_subgraph`` builds its sorted id array without a set.
 
-    ``extended`` builds an overlay rather than a copy: its ``triples`` read
-    the base's list below ``len(base)`` and its own above, and each of its
-    indexes is a ``ChainMap`` whose first map holds only the delta's entries
-    and which falls through to the base's index for every other key. Base
-    ids are unchanged, delta ids start at ``len(base)``, an alias list keeps
-    the base's order with new ids appended, and the base is never mutated,
-    so it stays safe to share. An overlay costs O(delta) to build and to
-    free, whatever the base's size; it holds the base's containers, so they
-    live as long as it does. A loaded KG keeps plain lists and dicts.
+    ``extended`` builds an overlay rather than a copy: each of its columns
+    reads the base's column below ``len(base)`` and its own above, and each
+    of its indexes is a ``ChainMap`` whose first map holds only the delta's
+    entries and which falls through to the base's index for every other key.
+    Base ids are unchanged, delta ids start at ``len(base)``, an alias list
+    keeps the base's order with new ids appended, and the base is never
+    mutated, so it stays safe to share. An overlay costs O(delta) to build
+    and to free, whatever the base's size; it holds the base's containers,
+    so they live as long as it does. A loaded KG keeps plain lists and dicts.
     """
 
     def __init__(
@@ -159,24 +166,33 @@ class KnowledgeGraph:
         triples: Iterable[tuple[str, str, str]] = (),
         labels: Iterable[tuple[str, str]] = (),
     ):
-        self.triples: Sequence[Triple] = []
+        self._heads: _Column = []
+        self._relations: _Column = []
+        self._tails: _Column = []
         self.labels: MutableMapping[str, str] = {}
         self._aliases: MutableMapping[str, list[str]] = {}
         self._max_alias_len = 0
         self.head_index: MutableMapping[str, list[int]] = {}
-        self._add(triples, labels)
+        self._add(*_columns(triples), labels)
 
     @property
     def entities(self) -> KeysView[str]:
         """Every entity id: each labelled entity and each triple head."""
         return self.labels.keys()
 
+    @property
+    def triples(self) -> Sequence[Triple]:
+        """The triples in id order, as a read-only view over the columns."""
+        return _Triples(self)
+
     def _add(
         self,
-        triples: Iterable[tuple[str, str, str]],
+        heads: list[str],
+        relations: list[str],
+        tails: list[str],
         labels: Iterable[tuple[str, str]],
     ) -> None:
-        """Append labels, then triples, to the indexes in place.
+        """Append labels, then the rows of three equal-length columns, in place.
 
         Every list this appends to must be this KG's own (see ``extended``).
         """
@@ -184,20 +200,21 @@ class KnowledgeGraph:
             if entity_id not in self.labels:
                 self.labels[entity_id] = label
             self._add_alias(label, entity_id)
-        start = len(self.triples)
-        new = [Triple(i, h, r, t) for i, (h, r, t) in enumerate(triples, start)]
-        self.triples.extend(new)
+        start = len(self._heads)
+        self._heads.extend(heads)
+        self._relations.extend(relations)
+        self._tails.extend(tails)
         head_index = self.head_index
-        for t in new:
-            ids = head_index.get(t.head)
+        for triple_id, head in enumerate(heads, start):
+            ids = head_index.get(head)
             if ids is not None:
-                ids.append(t.id)
+                ids.append(triple_id)
                 continue
-            head_index[t.head] = [t.id]
+            head_index[head] = [triple_id]
             # Heads without an explicit label act as their own label.
-            if t.head not in self.labels:
-                self.labels[t.head] = t.head
-                self._add_alias(t.head, t.head)
+            if head not in self.labels:
+                self.labels[head] = head
+                self._add_alias(head, head)
 
     def _add_alias(self, surface: str, entity_id: str) -> None:
         key = normalize(surface)
@@ -212,35 +229,35 @@ class KnowledgeGraph:
     def load(cls, triples_file: str | Path, labels_file: str | Path | None = None) -> "KnowledgeGraph":
         """Load a KG from the 3-column triples TSV and optional labels TSV.
 
-        Column strings are interned, so each repeated head, relation or tail
-        is stored once.
+        Each file is read in chunks of about ``_CHUNK_CHARS`` characters of
+        whole lines, and each chunk is parsed straight into interned string
+        columns, so each repeated head, relation or tail is stored once and
+        no per-row object is built. A line with the wrong number of
+        tab-separated columns raises ``KgParseError`` naming it.
         """
-        triples = []
-        for line_no, line in enumerate(_read_lines(triples_file), start=1):
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise KgParseError(
-                    str(triples_file), line_no,
-                    f"expected 3 tab-separated columns, got {len(cols)}",
-                )
-            triples.append(tuple(map(sys.intern, cols)))
-        labels = []
-        if labels_file is not None:
-            for line_no, line in enumerate(_read_lines(labels_file), start=1):
-                cols = line.split("\t")
-                if len(cols) != 2:
-                    raise KgParseError(
-                        str(labels_file), line_no,
-                        f"expected 2 tab-separated columns, got {len(cols)}",
-                    )
-                labels.append((cols[0], cols[1]))
-        return cls(triples, labels)
+        columns = _read_columns(triples_file, 3)
+        labels = zip(*_read_columns(labels_file, 2)) if labels_file is not None else ()
+        kg = cls()
+        kg._add(*columns, labels)
+        return kg
 
     def save(self, triples_file: str | Path) -> None:
-        """Write the triples back as TSV; reload yields identical triples."""
+        """Write the triples back as TSV; reload yields identical triples.
+
+        Raises ``ValueError`` naming the first triple with a tab or line
+        break in a field, which the format cannot hold, before the file is
+        opened.
+        """
+        for triple_id, row in enumerate(zip(self._heads, self._relations, self._tails)):
+            if _SEPARATORS_RE.search("".join(map(str, row))):
+                raise ValueError(
+                    f"triple {triple_id} {row!r} has a tab or line break in a field; "
+                    "the triples TSV cannot hold it"
+                )
         with open(triples_file, "w", encoding="utf-8", newline="\n") as f:
-            for t in self.triples:
-                f.write(f"{t.head}\t{t.relation}\t{t.tail}\n")
+            f.writelines(
+                f"{h}\t{r}\t{t}\n" for h, r, t in zip(self._heads, self._relations, self._tails)
+            )
 
     def extended(
         self,
@@ -251,41 +268,52 @@ class KnowledgeGraph:
 
         A label for an entity that already has one becomes an alias only.
         """
-        extra_triples = list(extra_triples)
+        heads, relations, tails = _columns(extra_triples)
         extra_labels = list(extra_labels)
         grown = object.__new__(type(self))
-        grown.triples = _Stacked(self.triples)
+        grown._heads = _Stacked(self._heads)
+        grown._relations = _Stacked(self._relations)
+        grown._tails = _Stacked(self._tails)
         grown.labels = ChainMap({}, self.labels)
         grown._aliases = ChainMap({}, self._aliases)
         grown._max_alias_len = self._max_alias_len
         grown.head_index = ChainMap({}, self.head_index)
         # Copy on write: give the overlay its own copy of each list _add
         # may append to, and share every other list with the base.
-        heads = {h for h, _, _ in extra_triples}
-        for head in heads:
+        new_heads = set(heads)
+        for head in new_heads:
             ids = self.head_index.get(head)
             if ids is not None:
                 grown.head_index[head] = list(ids)
         keys = {normalize(label) for _, label in extra_labels}
-        keys.update(normalize(h) for h in heads if h not in self.labels)
+        keys.update(normalize(h) for h in new_heads if h not in self.labels)
         for key in keys:
             ids = self._aliases.get(key)
             if ids is not None:
                 grown._aliases[key] = list(ids)
-        grown._add(extra_triples, extra_labels)
+        grown._add(heads, relations, tails, extra_labels)
         return grown
 
     # -- lookups ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self._heads)
 
     def triple(self, triple_id: int) -> Triple:
-        return self.triples[triple_id]
+        """The triple with this id; a negative id counts from the end, as on a list."""
+        if triple_id < 0:
+            triple_id += len(self._heads)
+            if triple_id < 0:
+                raise IndexError("triple id out of range")
+        # tuple.__new__ skips the NamedTuple's Python-level __new__, the
+        # dearest part of this call
+        return _new_tuple(Triple, (
+            triple_id, self._heads[triple_id], self._relations[triple_id], self._tails[triple_id],
+        ))
 
     def has_triple(self, triple_id) -> bool:
         # bool is an int subclass, but a JSON true/false is not a triple id
-        return type(triple_id) is int and 0 <= triple_id < len(self.triples)
+        return type(triple_id) is int and 0 <= triple_id < len(self._heads)
 
     def label_of(self, entity_id: str) -> str:
         return self.labels.get(entity_id, entity_id)
@@ -319,32 +347,53 @@ class KnowledgeGraph:
         return Subgraph(ids)
 
 
-class _Stacked(Sequence):
-    """The base's triples followed by the overlay's own; ``extend`` adds to the own."""
+class _Stacked:
+    """The base's column followed by the overlay's own; ``extend`` adds to the own.
+
+    Indexes are non-negative: ``KnowledgeGraph.triple`` resolves a negative id
+    before it reads a column.
+    """
 
     __slots__ = ("base", "own")
 
-    def __init__(self, base: Sequence[Triple]):
+    def __init__(self, base: "_Column"):
         self.base = base
-        self.own: list[Triple] = []
+        self.own: list[str] = []
 
-    def extend(self, triples: Iterable[Triple]) -> None:
-        self.own.extend(triples)
+    def extend(self, values: Iterable[str]) -> None:
+        self.own.extend(values)
 
     def __len__(self) -> int:
         return len(self.base) + len(self.own)
 
-    def __getitem__(self, i: int) -> Triple:
+    def __getitem__(self, i: int) -> str:
         n = len(self.base)
-        if 0 <= i < n:
-            return self.base[i]
-        if i >= n:
-            return self.own[i - n]
-        m = len(self.own)  # a negative index counts from the end, as on a list
-        return self.own[i] if i >= -m else self.base[i + m]
+        return self.base[i] if i < n else self.own[i - n]
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain(self.base, self.own)
+
+
+_Column = list[str] | _Stacked
+
+
+class _Triples(Sequence):
+    """A KG's rows as ``Triple``s, built as they are read."""
+
+    __slots__ = ("_kg",)
+
+    def __init__(self, kg: KnowledgeGraph):
+        self._kg = kg
+
+    def __len__(self) -> int:
+        return len(self._kg)
+
+    def __getitem__(self, i: int) -> Triple:
+        return self._kg.triple(i)
 
     def __iter__(self) -> Iterator[Triple]:
-        return itertools.chain(self.base, self.own)
+        kg = self._kg
+        return map(Triple, itertools.count(), kg._heads, kg._relations, kg._tails)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -352,7 +401,39 @@ class _Stacked(Sequence):
         return list(self) == list(other)
 
 
-def _read_lines(path: str | Path) -> Iterable[str]:
+def _columns(rows: Iterable[tuple[str, str, str]]) -> tuple[list[str], list[str], list[str]]:
+    """The heads, relations and tails of (head, relation, tail) rows."""
+    heads, relations, tails = [], [], []
+    for h, r, t in rows:
+        heads.append(h)
+        relations.append(r)
+        tails.append(t)
+    return heads, relations, tails
+
+
+def _read_columns(path: str | Path, width: int) -> list[list[str]]:
+    """The interned columns of a ``width``-column TSV file.
+
+    A chunk of lines is checked line by line for ``width - 1`` tabs, then
+    split in one call: with each line break made a tab, field ``k`` of every
+    line sits at ``k``, ``k + width``, ... of the split. The text layer has
+    already turned every CRLF or lone CR into a plain line break.
+    """
+    columns: list[list[str]] = [[] for _ in range(width)]
+    tabs = width - 1
+    line_no = 0
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            yield line.rstrip("\n")
+        while lines := f.readlines(_CHUNK_CHARS):
+            counts = list(map(str.count, lines, itertools.repeat("\t")))
+            if counts.count(tabs) != len(lines):
+                bad = next(i for i, count in enumerate(counts) if count != tabs)
+                raise KgParseError(
+                    str(path), line_no + bad + 1,
+                    f"expected {width} tab-separated columns, got {counts[bad] + 1}",
+                )
+            fields = "".join(lines).replace("\n", "\t").split("\t")
+            end = width * len(lines)  # drops the empty field after a final line break
+            for k, column in enumerate(columns):
+                column.extend(map(sys.intern, fields[k:end:width]))
+            line_no += len(lines)
+    return columns

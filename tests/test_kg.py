@@ -1,6 +1,9 @@
 import copy
 import gc
+import re
+import sys
 import tracemalloc
+import unicodedata
 import weakref
 
 import numpy as np
@@ -19,7 +22,7 @@ from groundedqa import (
     normalize,
 )
 from groundedqa import kg as kg_module
-from groundedqa.kg import parse_number
+from groundedqa.kg import Triple, parse_number
 
 
 def test_load_two_lines(tmp_path):
@@ -388,3 +391,213 @@ def test_a_freed_overlay_leaves_its_base_as_it_was(large_kg):
     gc.collect()
     assert freed() is None
     assert _snapshot(large_kg) == before
+
+
+# -- the columnar store: loader parity, save, normalize, layout -----------------
+
+
+def _assert_same_kg(got, want):
+    """Equal triples, labels, alias lists (keys and ids in order) and head index."""
+    assert got.triples == want.triples
+    assert list(got.labels.items()) == list(want.labels.items())
+    assert list(got.alias_index().items()) == list(want.alias_index().items())
+    assert list(got.head_index.items()) == list(want.head_index.items())
+    assert got.max_alias_len() == want.max_alias_len()
+
+
+_NFD_CAFE = unicodedata.normalize("NFD", "Caf\u00e9")
+
+
+@pytest.mark.parametrize(
+    "triples_bytes,labels_bytes,rows,labels",
+    [
+        (b"Q1\tr\tx\r\nQ2\tr\tQ1\r\n", b"Q1\tOne\r\n",
+         [("Q1", "r", "x"), ("Q2", "r", "Q1")], [("Q1", "One")]),
+        (b"Q1\tr\tx\rQ2\tr\ty\r", b"Q2\tTwo\rQ2\tDeux",
+         [("Q1", "r", "x"), ("Q2", "r", "y")], [("Q2", "Two"), ("Q2", "Deux")]),
+        (b"Q1\tr\tx\nQ2\tr\t45", b"Q1\tOne",
+         [("Q1", "r", "x"), ("Q2", "r", "45")], [("Q1", "One")]),
+        (b"", b"", [], []),
+        (b"Q1\tr\tx\n", b"", [("Q1", "r", "x")], []),
+        (b"", b"Q1\tOne\n", [], [("Q1", "One")]),
+        ("Q1\tborn in\tZ\u00fcrich\nQ2\tr\t\u6771\u4eac\n".encode(),
+         f"Q1\t{_NFD_CAFE}\nQ2\tCaf\u00e9\nQ2\t  Caf\u00e9  Bar \n".encode(),
+         [("Q1", "born in", "Z\u00fcrich"), ("Q2", "r", "\u6771\u4eac")],
+         [("Q1", _NFD_CAFE), ("Q2", "Caf\u00e9"), ("Q2", "  Caf\u00e9  Bar ")]),
+        (b"Q1\tr\tx\nQ1\tr\tx\nQ2\tr\tQ1\nQ1\tr\tx\n", b"Q1\tOne\nQ1\tOne\n",
+         [("Q1", "r", "x"), ("Q1", "r", "x"), ("Q2", "r", "Q1"), ("Q1", "r", "x")],
+         [("Q1", "One"), ("Q1", "One")]),
+        (b"Q1\t\t\n\t\t\n", b"", [("Q1", "", ""), ("", "", "")], []),
+    ],
+    ids=["crlf", "lone-cr", "no-final-newline", "empty", "empty-labels", "labels-only",
+         "non-ascii-and-nfd", "repeated-lines", "empty-fields"],
+)
+def test_load_equals_the_constructor_on_the_same_rows(
+    tmp_path, triples_bytes, labels_bytes, rows, labels,
+):
+    triples_file, labels_file = tmp_path / "kg.tsv", tmp_path / "labels.tsv"
+    triples_file.write_bytes(triples_bytes)
+    labels_file.write_bytes(labels_bytes)
+    loaded = KnowledgeGraph.load(triples_file, labels_file)
+    _assert_same_kg(loaded, KnowledgeGraph(rows, labels))
+    if not labels:
+        _assert_same_kg(KnowledgeGraph.load(triples_file), KnowledgeGraph(rows))
+
+
+def test_load_keeps_an_nfd_label_and_resolves_it_in_nfc(tmp_path):
+    triples, labels = tmp_path / "kg.tsv", tmp_path / "labels.tsv"
+    triples.write_text("Q1\tr\tx\n", encoding="utf-8")
+    labels.write_text(f"Q1\t{_NFD_CAFE}\nQ2\tCaf\u00e9\n", encoding="utf-8")
+    kg = KnowledgeGraph.load(triples, labels)
+    assert kg.label_of("Q1") == _NFD_CAFE
+    assert kg.resolve_label("CAF\u00c9") == ["Q1", "Q2"]
+
+
+def _big_rows():
+    """Rows whose TSV is more than two read chunks long."""
+    n = 2 * kg_module._CHUNK_CHARS // 10
+    return [(f"e{i % 997}", "r", f"t{i}") for i in range(n)]
+
+
+def _tsv(rows):
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+def test_load_equals_the_constructor_across_read_chunks(tmp_path):
+    rows = _big_rows()
+    f = tmp_path / "kg.tsv"
+    f.write_text(_tsv(rows), encoding="utf-8")
+    assert f.stat().st_size > 2 * kg_module._CHUNK_CHARS
+    _assert_same_kg(KnowledgeGraph.load(f), KnowledgeGraph(rows))
+
+
+@pytest.mark.parametrize("where,bad,columns", [
+    (where, bad, columns)
+    for where in ("first", "middle", "last", "last-no-newline", "past-first-chunk")
+    for bad, columns in (("Q9\tr", 2), ("Q9\tr\tx\ty", 4), ("", 1))
+    if (where, bad) != ("last-no-newline", "")  # an empty last line needs its line break
+])
+def test_load_names_the_malformed_line(tmp_path, where, bad, columns):
+    rows = ["\t".join(row) for row in _big_rows()] if where == "past-first-chunk" else [
+        "Q1\tr\tx", "Q2\tr\ty", "Q3\tr\tz",
+    ]
+    index = {"first": 0, "middle": 1, "last": len(rows), "last-no-newline": len(rows),
+             "past-first-chunk": len(rows) - 7}[where]
+    rows.insert(index, bad)
+    text = "\n".join(rows) + ("" if where == "last-no-newline" else "\n")
+    if where == "past-first-chunk":
+        assert len("\n".join(rows[:index])) > kg_module._CHUNK_CHARS
+    f = tmp_path / "kg.tsv"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(KgParseError) as exc:
+        KnowledgeGraph.load(f)
+    assert exc.value.line_no == index + 1
+    assert str(exc.value) == (
+        f"{f}:{index + 1}: expected 3 tab-separated columns, got {columns}"
+    )
+
+
+def test_load_names_the_malformed_labels_line(tmp_path):
+    triples, labels = tmp_path / "kg.tsv", tmp_path / "labels.tsv"
+    triples.write_text("Q1\tr\tx\n", encoding="utf-8")
+    labels.write_bytes(b"Q1\tOne\r\nQ1\tUno\tEins\r\n")
+    with pytest.raises(KgParseError) as exc:
+        KnowledgeGraph.load(triples, labels)
+    assert str(exc.value) == f"{labels}:2: expected 2 tab-separated columns, got 3"
+
+
+def test_load_counts_a_lone_carriage_return_as_a_line_break(tmp_path):
+    f = tmp_path / "kg.tsv"
+    f.write_bytes(b"Q1\tr\tx\rQ2\tr\n")
+    with pytest.raises(KgParseError) as exc:
+        KnowledgeGraph.load(f)
+    assert exc.value.line_no == 2
+
+
+def test_triples_is_a_read_only_view_that_behaves_as_the_list_did(small_kg):
+    rows = [(t.head, t.relation, t.tail) for t in small_kg.triples]
+    want = [Triple(i, *row) for i, row in enumerate(rows)]
+    for kg, expected in ((small_kg, want),
+                         (small_kg.extended([("Sam", "age", "29")]),
+                          want + [Triple(len(want), "Sam", "age", "29")])):
+        view = kg.triples
+        assert len(view) == len(expected)
+        assert view == expected and expected == view and list(view) == expected
+        assert [view[i] for i in range(-len(expected), len(expected))] == expected + expected
+        assert view[-1].id == len(expected) - 1
+        for i in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert view != expected[:-1]
+        with pytest.raises(AttributeError):
+            kg.triples = []
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("separator", ["\t", "\n", "\r", "\r\n"])
+def test_save_refuses_a_field_the_tsv_cannot_hold(tmp_path, column, separator):
+    row = ["a", "r", "b"]
+    row[column] = f"x{separator}y"
+    kg = KnowledgeGraph([("a", "r", "b"), tuple(row)])
+    out = tmp_path / "out.tsv"
+    with pytest.raises(ValueError, match="triple 1 "):
+        kg.save(out)
+    assert not out.exists()
+
+
+def test_save_load_round_trip_of_an_overlay(tmp_path):
+    base = KnowledgeGraph([("Q1", "r", "x"), ("Q2", "r", "Q1")], [("Q1", "One")])
+    grown = base.extended([("p1", "likes", "Q2"), ("Q1", "r", "z")])
+    out = tmp_path / "out.tsv"
+    grown.save(out)
+    assert out.read_text(encoding="utf-8") == "Q1\tr\tx\nQ2\tr\tQ1\np1\tlikes\tQ2\nQ1\tr\tz\n"
+    assert KnowledgeGraph.load(out).triples == grown.triples
+
+
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def _normalize_by_regex(surface):
+    """The regex form ``normalize`` replaced, kept as its reference."""
+    return re.sub(r"\s+", " ", unicodedata.normalize("NFC", surface)).strip().lower()
+
+
+def test_normalize_folds_every_whitespace_character():
+    assert len(_WHITESPACE) > 20  # the Unicode spaces, not just ASCII ones
+    for c in _WHITESPACE:
+        assert normalize(c) == ""
+        assert normalize(f"A{c}b") == "a b"
+        assert normalize(f"{c}a{c}{c}B{c}") == "a b"
+        assert normalize(f"a {c} b") == _normalize_by_regex(f"a {c} b") == "a b"
+
+
+@given(st.text(st.one_of(st.sampled_from(_WHITESPACE), st.characters())))
+@settings(max_examples=500, deadline=None)
+def test_normalize_matches_the_regex_form(surface):
+    assert normalize(surface) == _normalize_by_regex(surface)
+
+
+def test_load_builds_no_object_per_row(tmp_path):
+    """A loaded KG holds columns, not one GC-tracked tuple per triple."""
+    triples, labels = tmp_path / "kg.tsv", tmp_path / "labels.tsv"
+    triples.write_text(
+        "".join(f"e{i % 20_000}\tr\te{i * 7 % 20_000}\n" for i in range(100_000)), encoding="utf-8",
+    )
+    labels.write_text("".join(f"e{i}\tName {i}\n" for i in range(0, 20_000, 2)), encoding="utf-8")
+    gc.collect()
+    before = len(gc.get_objects())
+    kg = KnowledgeGraph.load(triples, labels)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(kg) == 100_000 and kg.triple(-1) == (99_999, "e19999", "r", "e19993")
+    assert added < 60_000  # one list per head and per alias, 40,000 here
+    del kg
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kg = KnowledgeGraph.load(triples, labels)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 1024 * 1024
