@@ -40,9 +40,9 @@ print("answer:", result.answer.value)
 print()
 print("trace steps:")
 for step in result.trace.steps:
-    print(f"  [{step.seq}] {step.kind} (branch={step.branch}, depth={step.depth})")
-    if step.kind == "PremiseGrounding":
-        p = step.payload
+    print(f"  [{step['seq']}] {step['kind']} (branch={step['branch']}, depth={step['depth']})")
+    if step["kind"] == "PremiseGrounding":
+        p = step["payload"]
         print(f"        {p['premise']} -> {p['status']} citing triples {p['evidence']}")
 
 report = verify_trace(kg, result.trace.to_dict())

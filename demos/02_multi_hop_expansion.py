@@ -44,11 +44,11 @@ print("question:", query.text)
 print("answer:", result.answer.value)
 print()
 for step in result.trace.steps:
-    if step.kind == "MEI":
-        print("gap identified:", step.payload["missing"])
-        print("new anchor:", step.payload["resolved"])
-    if step.kind == "Evaluation":
-        print(f"evaluation at depth {step.depth}: {step.payload['value']}")
+    if step["kind"] == "MEI":
+        print("gap identified:", step["payload"]["missing"])
+        print("new anchor:", step["payload"]["resolved"])
+    if step["kind"] == "Evaluation":
+        print(f"evaluation at depth {step['depth']}: {step['payload']['value']}")
 
 print()
 print("verifier ok:", verify_trace(kg, result.trace.to_dict()).ok)

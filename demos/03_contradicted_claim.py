@@ -39,8 +39,8 @@ print("claim:", query.text)
 print("verdict:", result.answer.value)
 print()
 for step in result.trace.steps:
-    if step.kind == "PremiseGrounding":
-        p = step.payload
+    if step["kind"] == "PremiseGrounding":
+        p = step["payload"]
         print(f"  {p['premise']}: {p['status']}", end="")
         if p["evidence"]:
             tid = p["evidence"][0]

@@ -63,11 +63,11 @@ query = Query(
 result = answer_multiple_choice(kg, HashedEmbedder(), backend, query)
 
 for step in result.trace.steps:
-    if step.kind == "OptionResult":
-        print(f"option {step.payload['option']}: {step.payload['value']}"
-              f"  ({options[step.payload['option']]})")
-    if step.kind == "PremiseGrounding" and step.payload["status"] == "Violated":
-        tid = step.payload["evidence"][0]
+    if step["kind"] == "OptionResult":
+        print(f"option {step['payload']['option']}: {step['payload']['value']}"
+              f"  ({options[step['payload']['option']]})")
+    if step["kind"] == "PremiseGrounding" and step["payload"]["status"] == "Violated":
+        tid = step["payload"]["evidence"][0]
         t = kg.triple(tid)
         print(f"  vetoed by personal fact: ({t.head}, {t.relation}, {t.tail})")
 

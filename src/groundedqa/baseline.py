@@ -55,7 +55,5 @@ def baseline_retrieve_read(
         baseline=True,
     )
     trace.record("Pruning", {"option": None, "new_ids": picked, "cumulative_ids": picked})
-    trace.record("FinalAnswer", {"value": value, "selected_option": None, "raw_response": response})
-    trace.answer = {"value": value, "selected_option": None}
-    trace.audit = audit.counters()
+    trace.finish({"value": value, "selected_option": None, "raw_response": response}, audit)
     return Answer(value=value), trace

@@ -55,6 +55,9 @@ class DatasetItem:
                 )
         elif str(self.gold).lower() not in _GOLD_TRUE | _GOLD_FALSE:
             raise ValueError(f"gold {self.gold!r} inconsistent with task {self.task!r}")
+        for row in self.personal_kg:
+            if type(row) is not tuple or len(row) != 3 or not all(isinstance(f, str) for f in row):
+                raise ValueError(f"personal_kg row {row!r} is not three strings")
 
 
 @dataclass
@@ -77,7 +80,8 @@ def parse_item(raw: dict[str, Any]) -> DatasetItem:
         query=raw["query"],
         gold=raw["gold"],
         options=tuple(raw.get("options", ())),
-        personal_kg=tuple(tuple(t) for t in raw.get("personal_kg", ())),
+        personal_kg=tuple(tuple(t) if isinstance(t, list) else t
+                          for t in raw.get("personal_kg", ())),
         kg_ref=raw.get("kg_ref"),
     )
 
@@ -86,7 +90,8 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
     """Parse a JSONL dataset; malformed items are skipped with a warning.
 
     An item's id names its trace file, so an item whose id is empty, holds a
-    path separator or NUL, or repeats an earlier item's id is malformed too.
+    path separator or NUL, or repeats an earlier item's id is malformed too,
+    as is one with a ``personal_kg`` row that is not three strings.
     A relative ``kg_ref`` is resolved against the dataset file's directory,
     so the dataset loads the same from any working directory.
     """

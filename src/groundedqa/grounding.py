@@ -103,10 +103,8 @@ def ground_premise_symbolic(
 ) -> Optional[PremiseGrounding]:
     """Deterministic fast path; None means not applicable (defer to the judge)."""
     matching = [
-        kg.triple(tid)
-        for tid in sorted(triple_ids)
-        if kg.triple(tid).head == subject
-        and _relation_matches(premise.name, kg.triple(tid).relation)
+        t for t in map(kg.triple, sorted(triple_ids))
+        if t.head == subject and _relation_matches(premise.name, t.relation)
     ]
     if premise.kind == "predicate":
         if matching:

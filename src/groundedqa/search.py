@@ -257,7 +257,5 @@ def _answer(
     else:
         value, branches = run_option(None, None)
         answer = Answer(value=value)
-    trace.answer = {"value": answer.value, "selected_option": answer.selected_option}
-    trace.record("FinalAnswer", dict(trace.answer))
-    trace.audit = audit.counters()
+    trace.finish({"value": answer.value, "selected_option": answer.selected_option}, audit)
     return QueryResult(answer=answer, trace=trace, audit=audit, branches_used=branches)

@@ -55,17 +55,12 @@ class Audit:
         }
 
 
-@dataclass
-class TraceStep:
-    kind: str
-    payload: dict[str, Any]
-    branch: int
-    depth: int
-    seq: int
-
-
 class ReasoningTrace:
-    """Ordered, append-only log of one query evaluation."""
+    """Ordered, append-only log of one query evaluation.
+
+    Each step is kept as the dict the trace document holds: ``kind``,
+    ``payload``, ``branch``, ``depth`` and ``seq``.
+    """
 
     def __init__(
         self,
@@ -76,21 +71,27 @@ class ReasoningTrace:
         self.query = query
         self.config = config
         self.baseline = baseline
-        self.steps: list[TraceStep] = []
+        self.steps: list[dict[str, Any]] = []
         self.answer: dict[str, Any] = {"value": "Unknown", "selected_option": None}
         self.audit: dict[str, Any] = {}
 
-    def record(self, kind: str, payload: dict[str, Any], branch: int = 0, depth: int = 0) -> TraceStep:
+    def record(self, kind: str, payload: dict[str, Any], branch: int = 0, depth: int = 0) -> None:
         if kind not in STEP_KINDS:
             raise ValueError(f"unknown step kind {kind!r}")
-        step = TraceStep(kind=kind, payload=payload, branch=branch, depth=depth, seq=len(self.steps))
-        self.steps.append(step)
-        return step
+        self.steps.append(
+            {"kind": kind, "payload": payload, "branch": branch, "depth": depth, "seq": len(self.steps)}
+        )
+
+    def finish(self, final_payload: dict[str, Any], audit: Audit) -> None:
+        """Close the trace: record ``FinalAnswer`` and set the answer and audit counters."""
+        self.record("FinalAnswer", final_payload)
+        self.answer = {k: final_payload[k] for k in ("value", "selected_option")}
+        self.audit = audit.counters()
 
     def to_dict(self) -> dict[str, Any]:
         """The trace document.
 
-        It shares the step payloads, query, config, answer and audit objects
+        It shares the step dicts, query, config, answer and audit objects
         with the trace, so copy it (``copy.deepcopy``) before changing it.
         """
         return {
@@ -98,11 +99,7 @@ class ReasoningTrace:
             "baseline": self.baseline,
             "query": self.query,
             "config": self.config,
-            "steps": [
-                {"kind": s.kind, "payload": s.payload, "branch": s.branch,
-                 "depth": s.depth, "seq": s.seq}
-                for s in self.steps
-            ],
+            "steps": self.steps,
             "answer": self.answer,
             "audit": self.audit,
         }

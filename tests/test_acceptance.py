@@ -194,13 +194,13 @@ def test_every_verdict_is_cited_and_bad_citations_are_rejected():
     with checklist("non-Unknown verdicts always cite; invalid citations demote"):
         for name, kg, result, _ in run_scenarios():
             for step in result.trace.steps:
-                if step.kind != "PremiseGrounding":
+                if step["kind"] != "PremiseGrounding":
                     continue
-                if step.payload["status"] in ("Satisfied", "Violated"):
-                    assert step.payload["evidence"], (name, step.payload)
-                    assert all(kg.has_triple(t) for t in step.payload["evidence"])
+                if step["payload"]["status"] in ("Satisfied", "Violated"):
+                    assert step["payload"]["evidence"], (name, step["payload"])
+                    assert all(kg.has_triple(t) for t in step["payload"]["evidence"])
                 else:
-                    assert step.payload["evidence"] == []
+                    assert step["payload"]["evidence"] == []
         backend = ScriptedBackend({"judge": ["STATUS: SATISFIED\nEVIDENCE: 7"]})
         audit = Audit()
         premise = Premise(kind="predicate", name="p", subject="Q1")
@@ -216,11 +216,11 @@ def test_end_to_end_scenarios():
 
         kg, r = results["single_hop"]
         assert r.answer.value == "True"
-        assert all(s.depth == 0 for s in r.trace.steps)
+        assert all(s["depth"] == 0 for s in r.trace.steps)
 
         kg2, r2 = results["two_hop"]
         assert r2.answer.value == "True"
-        assert any(s.kind == "Expansion" for s in r2.trace.steps)
+        assert any(s["kind"] == "Expansion" for s in r2.trace.steps)
         variant = ScriptedBackend(copy.deepcopy(TWO_HOP_SCRIPT_NO_MEI))
         unknown = answer_query(
             TWO_HOP_KG, HashedEmbedder(), variant, Query(text=TWO_HOP_QUERY),
@@ -232,8 +232,8 @@ def test_end_to_end_scenarios():
         kg3, r3 = results["contradiction"]
         assert r3.answer.value == "False"
         cited = [
-            s.payload["evidence"] for s in r3.trace.steps
-            if s.kind == "PremiseGrounding" and s.payload["status"] == "Violated"
+            s["payload"]["evidence"] for s in r3.trace.steps
+            if s["kind"] == "PremiseGrounding" and s["payload"]["status"] == "Violated"
         ]
         assert cited == [[0]]
 
@@ -241,11 +241,11 @@ def test_end_to_end_scenarios():
         assert r4.answer.selected_option == 1
         veto = [
             s for s in r4.trace.steps
-            if s.kind == "PremiseGrounding"
-            and s.payload["option"] == 0 and s.payload["status"] == "Violated"
+            if s["kind"] == "PremiseGrounding"
+            and s["payload"]["option"] == 0 and s["payload"]["status"] == "Violated"
         ]
         assert veto and all(
-            kg4.triple(t).head == "Sam" for s in veto for t in s.payload["evidence"]
+            kg4.triple(t).head == "Sam" for s in veto for t in s["payload"]["evidence"]
         )
 
         for name, (kg_n, r_n) in results.items():

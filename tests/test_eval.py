@@ -103,6 +103,31 @@ def test_load_dataset_skips_a_repeated_id_but_not_a_malformed_items_id(tmp_path)
     assert skipped == 3
 
 
+@pytest.mark.parametrize("row", [["Sam", "age"], ["Sam", "age", 30], ["a", "b", "c", "d"], "abc"])
+def test_parse_item_rejects_a_personal_kg_row_that_is_not_three_strings(row):
+    with pytest.raises(ValueError):
+        parse_item({
+            "id": "p", "task": "preference", "query": "q", "gold": 0,
+            "options": ["a", "b"], "personal_kg": [["Sam", "likes", "tea"], row],
+        })
+
+
+def test_run_eval_skips_an_item_with_a_malformed_personal_kg_row(tmp_path):
+    dataset = tmp_path / "d.jsonl"
+    bad = {"id": "bad", "task": "qa", "query": "Is Sam an adult?", "gold": "Yes",
+           "personal_kg": [["Sam", "age"]]}
+    dataset.write_text(_qa_line("good", "Is Q1 an adult?") + json.dumps(bad) + "\n",
+                       encoding="utf-8")
+    out = tmp_path / "out"
+    metrics = run_eval(dataset, KnowledgeGraph([("Q1", "age", "45")]),
+                       ScriptedBackend({"baseline": ["Yes."]}), HashedEmbedder(),
+                       out_dir=out, baseline=True)
+    assert metrics.n_items == 1 and metrics.skipped == 1
+    results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [(r["id"], r["predicted"]) for r in results] == [("good", "True")]
+    assert load_trace(results[0]["trace"])["query"]["text"] == "Is Q1 an adult?"
+
+
 def test_run_eval_writes_one_trace_per_result_line_despite_bad_ids(tmp_path):
     dataset = tmp_path / "d.jsonl"
     dataset.write_text(

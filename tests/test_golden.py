@@ -10,6 +10,9 @@ per item, because its script then holds one linking answer for both options
 that answer once per option, writes the same bytes.
 A changed hash means a change in what the engine asks the LLM or writes to
 its trace, which needs its own justification, not a new hash.
+
+A live trace keeps its steps in the shape its saved file loads back to, so
+each scenario's ``trace.steps`` equals the steps of the document it saves.
 """
 
 import copy
@@ -25,7 +28,9 @@ from groundedqa import (
     SearchConfig,
     answer_multiple_choice,
     answer_query,
+    load_trace,
 )
+from groundedqa.baseline import baseline_retrieve_read
 from groundedqa.prompts import render_prompt
 
 from fixture_data import (
@@ -140,6 +145,29 @@ def test_trace_json_matches_golden_hash(name):
     answer = answer_multiple_choice if options else answer_query
     result = answer(kg, HashedEmbedder(), backend, query, config)
     assert _sha256(result.trace.to_json()) == TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_live_steps_equal_saved_steps(name, tmp_path):
+    kg, script, text, options, config = SCENARIOS[name]
+    query = Query(text=text, options=options,
+                  task="multiple_choice" if options else "qa_yes_no")
+    answer = answer_multiple_choice if options else answer_query
+    trace = answer(kg, HashedEmbedder(), ScriptedBackend(copy.deepcopy(script)),
+                   query, config).trace
+    trace.save(tmp_path / "trace.json")
+    assert load_trace(tmp_path / "trace.json")["steps"] == trace.steps
+
+
+def test_live_baseline_steps_equal_saved_steps(tmp_path):
+    _, trace = baseline_retrieve_read(
+        ADULT_KG, HashedEmbedder(), ScriptedBackend({"baseline": ["Yes, 45 is adult."]}),
+        Query(text=ADULT_QUERY), k=2,
+    )
+    trace.save(tmp_path / "trace.json")
+    doc = load_trace(tmp_path / "trace.json")
+    assert doc["steps"] == trace.steps
+    assert doc["steps"][-1]["payload"]["raw_response"] == "Yes, 45 is adult."
 
 
 @pytest.mark.parametrize("name", sorted(PROMPT_CONTEXTS))

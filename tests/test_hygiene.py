@@ -8,6 +8,10 @@ exempt, since its imports are the package's re-exports.
 Only ``llm.py`` talks to a backend: no other groundedqa module calls
 ``.complete(`` or builds an ``LlmRequest``, so every exchange goes through
 ``llm.ask`` and its parse-failure policy.
+
+Only ``trace.py`` closes a trace: no other groundedqa module assigns an
+``answer`` or ``audit`` attribute or records a ``FinalAnswer`` step, so every
+trace ends through ``ReasoningTrace.finish``.
 """
 
 import ast
@@ -92,3 +96,45 @@ def test_scan_flags_a_direct_exchange():
         "complete(x)\n"
     )
     assert _exchanges(tree) == [1, 1, 2]
+
+
+def _trace_closes(tree: ast.Module) -> list[int]:
+    """Lines that assign an ``answer`` or ``audit`` attribute or record ``FinalAnswer``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr in ("answer", "audit")
+                   for target in targets for t in ast.walk(target)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            kinds = node.args[:1] + [k.value for k in node.keywords if k.arg == "kind"]
+            if name == "record" and any(
+                isinstance(k, ast.Constant) and k.value == "FinalAnswer" for k in kinds
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+NOT_TRACE = sorted(p for p in ROOT.glob("src/groundedqa/*.py") if p.name != "trace.py")
+
+
+@pytest.mark.parametrize("path", NOT_TRACE, ids=[p.name for p in NOT_TRACE])
+def test_only_trace_module_closes_a_trace(path):
+    lines = _trace_closes(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}: trace closed outside ReasoningTrace.finish on lines {lines}"
+
+
+def test_scan_flags_a_hand_written_close():
+    tree = ast.parse(
+        "trace.answer = {'value': v}\n"
+        "trace.record('FinalAnswer', payload)\n"
+        "self.audit, n = audit.counters(), 0\n"
+        "record(kind='FinalAnswer', payload=p)\n"
+        "answer = Answer(value=v)\n"
+        "trace.record('Evaluation', {'value': v})\n"
+        "trace.finish(payload, audit)\n"
+    )
+    assert _trace_closes(tree) == [1, 2, 3, 4]

@@ -44,7 +44,7 @@ def run(kg, script, query_text, config=None, options=(), task="qa_yes_no"):
 
 
 def kinds(trace):
-    return [s.kind for s in trace.steps]
+    return [s["kind"] for s in trace.steps]
 
 
 def test_config_rejects_nonpositive_budgets():
@@ -60,7 +60,7 @@ def test_single_hop_true_at_depth_zero():
     assert result.branches_used == 1
     assert backend.remaining() == {}
     # everything grounded symbolically: the script holds no judge lines
-    assert all(s.depth == 0 for s in result.trace.steps)
+    assert all(s["depth"] == 0 for s in result.trace.steps)
     assert "MEI" not in kinds(result.trace)
     report = verify_trace(ADULT_KG, result.trace.to_dict())
     assert report.ok and report.grounding_precision == 1.0
@@ -80,12 +80,12 @@ def test_two_hop_true_after_one_expansion():
     assert backend.remaining() == {}
     step_kinds = kinds(result.trace)
     assert "MEI" in step_kinds and "Expansion" in step_kinds
-    evals = [s for s in result.trace.steps if s.kind == "Evaluation"]
-    assert [e.payload["value"] for e in evals] == ["Unknown", "True"]
-    assert evals[-1].depth == 1
+    evals = [s for s in result.trace.steps if s["kind"] == "Evaluation"]
+    assert [e["payload"]["value"] for e in evals] == ["Unknown", "True"]
+    assert evals[-1]["depth"] == 1
     # the winning citation is the birthplace triple reached by expansion
-    final_grounding = [s for s in result.trace.steps if s.kind == "PremiseGrounding"][-1]
-    assert final_grounding.payload["evidence"] == [2]
+    final_grounding = [s for s in result.trace.steps if s["kind"] == "PremiseGrounding"][-1]
+    assert final_grounding["payload"]["evidence"] == [2]
     report = verify_trace(TWO_HOP_KG, result.trace.to_dict())
     assert report.ok and report.grounding_precision == 1.0
 
@@ -105,10 +105,10 @@ def test_contradiction_answers_false_with_citation():
     assert result.answer.value == "False"
     violated = [
         s for s in result.trace.steps
-        if s.kind == "PremiseGrounding" and s.payload["status"] == "Violated"
+        if s["kind"] == "PremiseGrounding" and s["payload"]["status"] == "Violated"
     ]
     assert len(violated) == 1
-    assert violated[0].payload["evidence"] == [0]  # the age triple
+    assert violated[0]["payload"]["evidence"] == [0]  # the age triple
     assert verify_trace(QUINCE_KG, result.trace.to_dict()).ok
 
 
@@ -128,19 +128,19 @@ def test_preference_rejects_distractor_then_selects_gold():
     )
     assert result.answer.value == "True"
     assert result.answer.selected_option == 1
-    option_results = [s for s in result.trace.steps if s.kind == "OptionResult"]
-    assert [(s.payload["option"], s.payload["value"]) for s in option_results] == [
+    option_results = [s for s in result.trace.steps if s["kind"] == "OptionResult"]
+    assert [(s["payload"]["option"], s["payload"]["value"]) for s in option_results] == [
         (0, "False"), (1, "True"),
     ]
     # the distractor is vetoed by a personal-KG fact
     veto = [
         s for s in result.trace.steps
-        if s.kind == "PremiseGrounding"
-        and s.payload["option"] == 0
-        and s.payload["status"] == "Violated"
+        if s["kind"] == "PremiseGrounding"
+        and s["payload"]["option"] == 0
+        and s["payload"]["status"] == "Violated"
     ]
     assert len(veto) == 1
-    tid = veto[0].payload["evidence"][0]
+    tid = veto[0]["payload"]["evidence"][0]
     assert PREFERENCE_KG.triple(tid).relation == "medical_condition"
     assert backend.remaining() == {}
     assert verify_trace(PREFERENCE_KG, result.trace.to_dict()).ok
@@ -161,9 +161,9 @@ def test_multiple_choice_short_circuits_on_first_true():
     assert result.answer.selected_option == 0
     assert backend.remaining() == {}
     assert not any(
-        s.payload.get("option") == 1
+        s["payload"].get("option") == 1
         for s in result.trace.steps
-        if s.kind != "FinalAnswer"
+        if s["kind"] != "FinalAnswer"
     )
 
 
@@ -191,12 +191,12 @@ def test_multiple_choice_links_once_per_item():
         PREFERENCE_KG, PREFERENCE_SCRIPT, PREFERENCE_QUERY,
         options=PREFERENCE_OPTIONS, task="multiple_choice",
     )
-    assert [s.payload["option"] for s in result.trace.steps if s.kind == "OptionResult"] == [0, 1]
+    assert [s["payload"]["option"] for s in result.trace.steps if s["kind"] == "OptionResult"] == [0, 1]
     assert backend.remaining() == {}
     roles = [role for role, _, _ in backend.call_log]
     assert roles.count("entity_extract") == 1
     for kind in ("EntityLinking", "SubgraphExtraction"):
-        payloads = [s.payload for s in result.trace.steps if s.kind == kind]
+        payloads = [s["payload"] for s in result.trace.steps if s["kind"] == kind]
         assert [p["option"] for p in payloads] == [0, 1]
         assert {**payloads[0], "option": 1} == payloads[1]
 
@@ -243,12 +243,12 @@ def test_expansion_under_one_option_leaves_the_next_options_linking_alone():
         options=("yes", "no"), task="multiple_choice",
     )
     assert backend.remaining() == {}
-    expansion = [s.payload for s in result.trace.steps if s.kind == "Expansion"]
+    expansion = [s["payload"] for s in result.trace.steps if s["kind"] == "Expansion"]
     assert [(p["option"], p["added_entity"]) for p in expansion] == [(0, "B")]
-    linking = [s.payload for s in result.trace.steps if s.kind == "EntityLinking"]
+    linking = [s["payload"] for s in result.trace.steps if s["kind"] == "EntityLinking"]
     assert linking[1]["option"] == 1
     assert [a["id"] for a in linking[1]["anchors"]] == ["A"]
-    extraction = [s.payload for s in result.trace.steps if s.kind == "SubgraphExtraction"]
+    extraction = [s["payload"] for s in result.trace.steps if s["kind"] == "SubgraphExtraction"]
     assert [(p["option"], p["triple_count"]) for p in extraction] == [(0, 1), (1, 1)]
     assert verify_trace(kg, result.trace.to_dict()).ok
 
@@ -298,8 +298,8 @@ def test_mei_entity_of_one_branch_does_not_leak_into_the_next():
     result, _ = run(kg, script, "Does Alpha know an adult?", config)
     assert result.answer.value == "True"
     assert result.branches_used == 2
-    mei = [s for s in result.trace.steps if s.kind == "MEI"]
-    assert [(s.branch, s.payload["already_anchor"]) for s in mei] == [(1, False), (2, False)]
+    mei = [s for s in result.trace.steps if s["kind"] == "MEI"]
+    assert [(s["branch"], s["payload"]["already_anchor"]) for s in mei] == [(1, False), (2, False)]
     assert verify_trace(kg, result.trace.to_dict()).ok
 
 
@@ -323,10 +323,10 @@ def test_branch_stops_when_its_expansion_picks_no_new_triples():
     assert result.answer.value == "Unknown"
     roles = [role for role, _, _ in backend.call_log]
     assert roles.count("judge") == 1 and roles.count("mei") == 1
-    mei = [s for s in result.trace.steps if s.kind == "MEI"]
-    assert [s.payload["already_anchor"] for s in mei] == [True]
-    expansion = [s for s in result.trace.steps if s.kind == "Expansion"]
-    assert [s.payload["new_pruned_ids"] for s in expansion] == [[]]
+    mei = [s for s in result.trace.steps if s["kind"] == "MEI"]
+    assert [s["payload"]["already_anchor"] for s in mei] == [True]
+    expansion = [s for s in result.trace.steps if s["kind"] == "Expansion"]
+    assert [s["payload"]["new_pruned_ids"] for s in expansion] == [[]]
     assert result.trace.steps[-2] is expansion[0]  # the branch ended right there
     assert any("picked no new triples" in e for e in result.audit.events)
     assert verify_trace(kg, result.trace.to_dict()).ok

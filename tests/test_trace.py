@@ -52,7 +52,7 @@ def test_record_assigns_sequence_numbers():
     trace = ReasoningTrace(query={"text": "q"}, config={})
     trace.record("EntityLinking", {"anchors": []})
     trace.record("FinalAnswer", {"value": "Unknown"})
-    assert [s.seq for s in trace.steps] == [0, 1]
+    assert [s["seq"] for s in trace.steps] == [0, 1]
 
 
 def test_record_rejects_unknown_kind():
