@@ -114,13 +114,16 @@ def main(argv=None) -> int:
             return EXIT_OK if report.ok else EXIT_VERIFY
 
         kg = KnowledgeGraph.load(args.kg, args.labels)
-        backend = _make_backend(args)
+        try:
+            backend = _make_backend(args)
+            config = SearchConfig(
+                max_breadth=args.max_breadth,
+                max_depth=args.max_depth,
+                top_k=args.top_k,
+            )
+        except ValueError as exc:  # a bad script or budget is a usage error
+            raise _UsageError(exc) from exc
         embedder = HashedEmbedder()
-        config = SearchConfig(
-            max_breadth=args.max_breadth,
-            max_depth=args.max_depth,
-            top_k=args.top_k,
-        )
 
         if args.command == "ask":
             options = tuple(o.strip() for o in (args.options or "").split(";") if o.strip())

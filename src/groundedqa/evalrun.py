@@ -44,6 +44,12 @@ class DatasetItem:
     def __post_init__(self):
         if self.task not in TASK_MAP:
             raise ValueError(f"unknown task {self.task!r}")
+        if not isinstance(self.query, str) or not self.query.strip():
+            raise ValueError(f"query {self.query!r} is not a non-empty string")
+        if type(self.options) is not tuple or not all(
+            isinstance(o, str) and o.strip() for o in self.options
+        ):
+            raise ValueError(f"options {self.options!r} are not non-empty strings")
         if self.task == "preference":
             if len(self.options) < 2:
                 raise ValueError("preference items need at least 2 options")
@@ -74,12 +80,13 @@ class Metrics:
 
 
 def parse_item(raw: dict[str, Any]) -> DatasetItem:
+    options = raw.get("options", ())
     return DatasetItem(
         id=str(raw["id"]),
         task=raw["task"],
         query=raw["query"],
         gold=raw["gold"],
-        options=tuple(raw.get("options", ())),
+        options=tuple(options) if isinstance(options, list) else options,
         personal_kg=tuple(tuple(t) if isinstance(t, list) else t
                           for t in raw.get("personal_kg", ())),
         kg_ref=raw.get("kg_ref"),
@@ -91,7 +98,9 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
 
     An item's id names its trace file, so an item whose id is empty, holds a
     path separator or NUL, or repeats an earlier item's id is malformed too,
-    as is one with a ``personal_kg`` row that is not three strings.
+    as is one whose query is not a non-empty string, whose ``options`` is
+    not a list of non-empty strings, or with a ``personal_kg`` row that is
+    not three strings.
     A relative ``kg_ref`` is resolved against the dataset file's directory,
     so the dataset loads the same from any working directory.
     """

@@ -154,11 +154,13 @@ class KnowledgeGraph:
     reads the base's column below ``len(base)`` and its own above, and each
     of its indexes is a ``ChainMap`` whose first map holds only the delta's
     entries and which falls through to the base's index for every other key.
-    Base ids are unchanged, delta ids start at ``len(base)``, an alias list
-    keeps the base's order with new ids appended, and the base is never
-    mutated, so it stays safe to share. An overlay costs O(delta) to build
-    and to free, whatever the base's size; it holds the base's containers,
-    so they live as long as it does. A loaded KG keeps plain lists and dicts.
+    Base ids are unchanged, delta ids start at ``len(base)``, and an alias
+    list keeps the base's order with new ids after it. Index lists are
+    replaced when they grow, never appended to, so an overlay's writes land
+    in its first maps and the base is never mutated; it stays safe to share.
+    An overlay costs O(delta) to build and to free, whatever the base's
+    size; it holds the base's containers, so they live as long as it does.
+    A loaded KG keeps plain lists and dicts.
     """
 
     def __init__(
@@ -192,9 +194,11 @@ class KnowledgeGraph:
         tails: list[str],
         labels: Iterable[tuple[str, str]],
     ) -> None:
-        """Append labels, then the rows of three equal-length columns, in place.
+        """Add labels, then the rows of three equal-length columns.
 
-        Every list this appends to must be this KG's own (see ``extended``).
+        An index entry that grows is replaced by a new list, never appended
+        to, so an overlay's writes land in its own first maps (see
+        ``extended``) and the base's lists stay as they were.
         """
         for entity_id, label in labels:
             if entity_id not in self.labels:
@@ -204,13 +208,20 @@ class KnowledgeGraph:
         self._heads.extend(heads)
         self._relations.extend(relations)
         self._tails.extend(tails)
-        head_index = self.head_index
+        grouped: dict[str, list[int]] = {}
         for triple_id, head in enumerate(heads, start):
-            ids = head_index.get(head)
-            if ids is not None:
+            ids = grouped.get(head)
+            if ids is None:
+                grouped[head] = [triple_id]
+            else:
                 ids.append(triple_id)
+        head_index = self.head_index
+        for head, ids in grouped.items():
+            known = head_index.get(head)
+            if known is not None:
+                head_index[head] = known + ids
                 continue
-            head_index[head] = [triple_id]
+            head_index[head] = ids
             # Heads without an explicit label act as their own label.
             if head not in self.labels:
                 self.labels[head] = head
@@ -219,9 +230,9 @@ class KnowledgeGraph:
     def _add_alias(self, surface: str, entity_id: str) -> None:
         key = normalize(surface)
         self._max_alias_len = max(self._max_alias_len, len(key))
-        ids = self._aliases.setdefault(key, [])
+        ids = self._aliases.get(key, ())
         if entity_id not in ids:
-            ids.append(entity_id)
+            self._aliases[key] = [*ids, entity_id]
 
     # -- loading / saving ----------------------------------------------------
 
@@ -269,7 +280,6 @@ class KnowledgeGraph:
         A label for an entity that already has one becomes an alias only.
         """
         heads, relations, tails = _columns(extra_triples)
-        extra_labels = list(extra_labels)
         grown = object.__new__(type(self))
         grown._heads = _Stacked(self._heads)
         grown._relations = _Stacked(self._relations)
@@ -278,19 +288,6 @@ class KnowledgeGraph:
         grown._aliases = ChainMap({}, self._aliases)
         grown._max_alias_len = self._max_alias_len
         grown.head_index = ChainMap({}, self.head_index)
-        # Copy on write: give the overlay its own copy of each list _add
-        # may append to, and share every other list with the base.
-        new_heads = set(heads)
-        for head in new_heads:
-            ids = self.head_index.get(head)
-            if ids is not None:
-                grown.head_index[head] = list(ids)
-        keys = {normalize(label) for _, label in extra_labels}
-        keys.update(normalize(h) for h in new_heads if h not in self.labels)
-        for key in keys:
-            ids = self._aliases.get(key)
-            if ids is not None:
-                grown._aliases[key] = list(ids)
         grown._add(heads, relations, tails, extra_labels)
         return grown
 

@@ -49,14 +49,20 @@ class ScriptedBackend:
     """Replays scripted responses per role, in order, recording every call.
 
     The script is a mapping of role name to an ordered list of response
-    strings; each call consumes the next one. Exhaustion is an error so
-    tests notice both missing and unconsumed script lines.
+    strings, and any other shape raises ``ValueError``; each call consumes
+    the next one. Exhaustion is an error so tests notice both missing and
+    unconsumed script lines.
     """
 
     def __init__(self, script: dict[str, list[str]]):
+        if not isinstance(script, dict):
+            raise ValueError(f"a script maps roles to lists of responses, got {script!r}")
         unknown = set(script) - set(ROLES)
         if unknown:
             raise ValueError(f"unknown roles in script: {sorted(unknown)}")
+        for role, lines in script.items():
+            if not isinstance(lines, (list, tuple)) or not all(isinstance(x, str) for x in lines):
+                raise ValueError(f"script role {role!r} must map to a list of strings")
         self._script = {role: list(lines) for role, lines in script.items()}
         self._cursor = {role: 0 for role in self._script}
         self._lock = threading.Lock()

@@ -19,7 +19,7 @@ import mmap
 import re
 import threading
 import weakref
-from typing import Collection, Iterable, Optional, Protocol, Sequence
+from typing import Collection, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -137,20 +137,18 @@ class _TripleRows:
         np.divide(self.counts.take(slots, axis=1).T, self.norms[slots, None], out=rows)
         return rows
 
-    def fill(self, kg: KnowledgeGraph, triple_ids: np.ndarray) -> Optional[np.ndarray]:
+    def fill(self, kg: KnowledgeGraph, triple_ids: np.ndarray) -> None:
         """Store the rows of ``triple_ids`` not stored yet; the caller holds the lock.
 
-        Returns the fresh rows when every id was new and distinct, so they are
-        in id order, else None. A miss is mostly a handful of ids, so the
-        bookkeeping runs on Python ints: each numpy call it saves is dearer
-        than the loop it replaces.
+        A miss is mostly a handful of ids, so the bookkeeping runs on Python
+        ints: each numpy call it saves is dearer than the loop it replaces.
         """
         slots = self.slots[triple_ids].tolist()
         missing = list(dict.fromkeys(
             tid for tid, slot in zip(triple_ids.tolist(), slots) if slot < 0
         ))
         if not missing:
-            return None
+            return
         dimension = self.counts.shape[0]
         counts, norms, top = _bucket_counts(
             [verbalize(kg, kg.triple(tid)) for tid in missing], dimension,
@@ -174,7 +172,6 @@ class _TripleRows:
         for slot, tid in enumerate(missing, start):
             self.slots[tid] = slot
         self.size = end
-        return counts / norms[:, None] if len(missing) == len(slots) else None
 
     def sq_distances(self, slots: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
         """Squared distances of the stored rows to ``query_vec``, within ``SHORTLIST_DELTA``.
@@ -228,7 +225,8 @@ class HashedEmbedder:
     the KG object, not by its content, so a KG built with other labels (say by
     ``KnowledgeGraph.extended``) starts empty and is never served another
     KG's rows, and it is freed together with its KG. One embedder may be
-    shared by concurrent evaluations.
+    shared by concurrent evaluations: ``_stored`` is the one place that
+    creates or fills a store, under the embedder's lock.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
@@ -252,17 +250,9 @@ class HashedEmbedder:
         """Rows of ``embed_many`` over the triples' verbalizations, from the KG's store.
 
         Ids must lie in ``[0, len(kg))``. Triples not scored before are
-        verbalized and counted in one batch.
+        stored first (see ``_stored``).
         """
-        ids = np.asarray(triple_ids, dtype=np.intp)
-        store = self._store(kg)
-        slots = store.slots[ids]
-        if slots.min(initial=0) < 0:
-            with self._lock:
-                fresh = store.fill(kg, ids)
-            if fresh is not None:
-                return fresh
-            slots = store.slots[ids]
+        store, slots = self._stored(kg, np.asarray(triple_ids, dtype=np.intp))
         return store.rows(slots)
 
     def shortlist(
@@ -273,27 +263,34 @@ class HashedEmbedder:
         ``triple_ids`` is an ``np.intp`` array. Every triple of the exact top
         k of ``embed_triples``' rows survives (see ``SHORTLIST_DELTA``);
         ``0 < k < len(triple_ids)``. Triples not scored before are stored
-        first, ``SCORE_CHUNK`` at a time.
+        first (see ``_stored``).
         """
-        store = self._store(kg)
-        slots = store.slots[triple_ids]
-        if slots.min() < 0:
-            with self._lock:
-                for start in range(0, len(triple_ids), SCORE_CHUNK):
-                    store.fill(kg, triple_ids[start:start + SCORE_CHUNK])
-            slots = store.slots[triple_ids]
+        store, slots = self._stored(kg, triple_ids)
         approx = store.sq_distances(slots, query_vec)
         bound = np.partition(approx, k - 1)[k - 1] + 2 * SHORTLIST_DELTA
         return triple_ids[approx <= bound]
 
-    def _store(self, kg: KnowledgeGraph) -> _TripleRows:
+    def _stored(
+        self, kg: KnowledgeGraph, triple_ids: np.ndarray,
+    ) -> tuple[_TripleRows, np.ndarray]:
+        """The KG's store and the slots of ``triple_ids``, each of them filled.
+
+        The one writer of the stores: slots are read without the lock; a miss
+        creates the store if needed and fills it, ``SCORE_CHUNK`` ids at a
+        time, under the lock.
+        """
         store = self._stores.get(kg)
-        if store is None:
-            with self._lock:
-                store = self._stores.get(kg)
-                if store is None:
-                    store = self._stores[kg] = _TripleRows(len(kg), self.dimension)
-        return store
+        if store is not None:
+            slots = store.slots[triple_ids]
+            if slots.min(initial=0) >= 0:
+                return store, slots
+        with self._lock:
+            store = self._stores.get(kg)
+            if store is None:
+                store = self._stores[kg] = _TripleRows(len(kg), self.dimension)
+            for start in range(0, len(triple_ids), SCORE_CHUNK):
+                store.fill(kg, triple_ids[start:start + SCORE_CHUNK])
+        return store, store.slots[triple_ids]
 
 
 def verbalize(kg: KnowledgeGraph, triple: Triple) -> str:

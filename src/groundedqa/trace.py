@@ -229,7 +229,18 @@ def verify_trace(kg: KnowledgeGraph, doc: dict[str, Any]) -> VerificationReport:
     V4 every grounded premise belongs to a previously surfaced axiom, and
     V5 depth/breadth stay within the recorded budgets. Baseline traces are
     exempt from V2-V4 (they enforce no grounding by design).
+
+    A document whose structure is not a trace's (a step that is not an
+    object, evidence that is not a list, a depth that is not a number, ...)
+    raises ``TraceSchemaError``, as an unsupported schema version does.
     """
+    try:
+        return _verify(kg, doc)
+    except (AttributeError, TypeError) as exc:
+        raise TraceSchemaError(f"malformed trace document: {exc}") from exc
+
+
+def _verify(kg: KnowledgeGraph, doc: dict[str, Any]) -> VerificationReport:
     # Schema 1 recorded subgraph triple ids where schema 2 records counts; no
     # rule reads either, so traces of both schemas verify alike.
     if doc.get("schema_version") not in (1, SCHEMA_VERSION):

@@ -119,6 +119,35 @@ def test_scripted_without_script_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--top-k", "--max-breadth", "--max-depth"])
+def test_a_budget_below_one_is_usage_error(tmp_path, capsys, flag):
+    triples, labels, script = write_adult_files(tmp_path)
+    code = main(["ask", *scripted_args(triples, labels, script), "--query", ADULT_QUERY,
+                 flag, "0" if flag != "--max-depth" else "-1"])
+    assert code == EXIT_USAGE
+    assert "must be" in capsys.readouterr().err
+
+
+def test_a_script_role_mapped_to_a_string_is_usage_error(tmp_path, capsys):
+    triples, labels, script = write_adult_files(tmp_path)
+    script.write_text(json.dumps({**ADULT_SCRIPT, "axiom": "AXIOM: a(b)"}), encoding="utf-8")
+    code = main(["ask", *scripted_args(triples, labels, script), "--query", ADULT_QUERY,
+                 "--trace-out", str(tmp_path / "trace.json")])
+    assert code == EXIT_USAGE
+    assert "'axiom'" in capsys.readouterr().err
+    assert not (tmp_path / "trace.json").exists()
+
+
+@pytest.mark.parametrize("doc", [[], {"schema_version": 2, "steps": [1]}])
+def test_verify_a_malformed_trace_exits_3(tmp_path, capsys, doc):
+    triples, labels, _ = write_adult_files(tmp_path)
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["verify", str(trace), "--kg", str(triples), "--labels", str(labels)])
+    assert code == EXIT_VERIFY
+    assert "malformed trace" in capsys.readouterr().err
+
+
 def test_missing_kg_file_is_usage_error(tmp_path, capsys):
     code = main([
         "ask", "--kg", str(tmp_path / "nope.tsv"), "--backend", "scripted",

@@ -112,6 +112,32 @@ def test_parse_item_rejects_a_personal_kg_row_that_is_not_three_strings(row):
         })
 
 
+_BAD_SHAPES = [
+    {"id": "a", "task": "qa", "query": 123, "gold": "Yes"},
+    {"id": "b", "task": "preference", "query": "q", "gold": 0, "options": "ab"},
+    {"id": "c", "task": "preference", "query": "q", "gold": 0, "options": [None, "x"]},
+]
+
+
+@pytest.mark.parametrize("raw", _BAD_SHAPES, ids=["int_query", "string_options", "null_option"])
+def test_parse_item_rejects_a_query_or_options_that_are_not_strings(raw):
+    with pytest.raises(ValueError):
+        parse_item(raw)
+
+
+def test_run_eval_skips_items_whose_query_or_options_are_not_strings(tmp_path):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text(
+        "".join(json.dumps(raw) + "\n" for raw in _BAD_SHAPES) + _qa_line("good", "Is Q1 an adult?"),
+        encoding="utf-8",
+    )
+    metrics = run_eval(dataset, KnowledgeGraph([("Q1", "age", "45")]),
+                       ScriptedBackend({"baseline": ["Yes."]}), HashedEmbedder(),
+                       out_dir=tmp_path / "out", baseline=True)
+    assert metrics.skipped == 3 and metrics.n_items == 1
+    assert metrics.accuracy == 1.0
+
+
 def test_run_eval_skips_an_item_with_a_malformed_personal_kg_row(tmp_path):
     dataset = tmp_path / "d.jsonl"
     bad = {"id": "bad", "task": "qa", "query": "Is Sam an adult?", "gold": "Yes",

@@ -12,6 +12,11 @@ Only ``llm.py`` talks to a backend: no other groundedqa module calls
 Only ``trace.py`` closes a trace: no other groundedqa module assigns an
 ``answer`` or ``audit`` attribute or records a ``FinalAnswer`` step, so every
 trace ends through ``ReasoningTrace.finish``.
+
+Only ``HashedEmbedder._stored`` writes the embedder's store: no other
+function of ``retrieval.py`` reads a ``_lock`` attribute or calls ``.fill(``,
+so every store is created and filled in one place, under one lock.
+``__init__`` may create the lock.
 """
 
 import ast
@@ -138,3 +143,55 @@ def test_scan_flags_a_hand_written_close():
         "trace.finish(payload, audit)\n"
     )
     assert _trace_closes(tree) == [1, 2, 3, 4]
+
+
+def _store_writes(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified function name, line) of every ``_lock`` use and ``.fill(`` call.
+
+    A ``_lock`` assignment in an ``__init__`` creates the lock and is not listed.
+    """
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+            if isinstance(child, ast.Attribute) and child.attr == "_lock":
+                if not (isinstance(child.ctx, ast.Store) and name.endswith(".__init__")):
+                    found.append((name, child.lineno))
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "fill"):
+                found.append((name, child.lineno))
+            visit(child, name)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_stored_writes_the_embedder_store():
+    path = ROOT / "src/groundedqa/retrieval.py"
+    writes = _store_writes(ast.parse(path.read_text(encoding="utf-8")))
+    assert writes, "the scan found no store write at all"
+    outside = [(name, line) for name, line in writes if name != "HashedEmbedder._stored"]
+    assert not outside, f"retrieval.py: store written outside HashedEmbedder._stored at {outside}"
+
+
+def test_scan_flags_a_store_write_outside_stored():
+    tree = ast.parse(
+        "class E:\n"
+        "    def __init__(self):\n"
+        "        self._lock = Lock()\n"
+        "    def embed_triples(self, kg, ids):\n"
+        "        with self._lock:\n"
+        "            store.fill(kg, ids)\n"
+        "    def _stored(self, kg, ids):\n"
+        "        with self._lock:\n"
+        "            store.fill(kg, ids)\n"
+        "def swap(e):\n"
+        "    e._lock = None\n"
+    )
+    assert _store_writes(tree) == [
+        ("E.embed_triples", 5), ("E.embed_triples", 6),
+        ("E._stored", 8), ("E._stored", 9), ("swap", 11),
+    ]

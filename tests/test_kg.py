@@ -2,6 +2,7 @@ import copy
 import gc
 import re
 import sys
+import threading
 import tracemalloc
 import unicodedata
 import weakref
@@ -13,16 +14,26 @@ from hypothesis import strategies as st
 
 from groundedqa import (
     Audit,
+    HashedEmbedder,
     KgParseError,
     KnowledgeGraph,
     Query,
     ScriptedBackend,
     anchor_entities,
+    answer_multiple_choice,
     link_lexical,
     normalize,
 )
 from groundedqa import kg as kg_module
 from groundedqa.kg import Triple, parse_number
+
+from fixture_data import (
+    PERSONAL_KG_TRIPLES,
+    PREFERENCE_OPTIONS,
+    PREFERENCE_QUERY,
+    PREFERENCE_SCRIPT,
+    PREFERENCE_SHARED_KG,
+)
 
 
 def test_load_two_lines(tmp_path):
@@ -391,6 +402,47 @@ def test_a_freed_overlay_leaves_its_base_as_it_was(large_kg):
     gc.collect()
     assert freed() is None
     assert _snapshot(large_kg) == before
+
+
+def test_threads_answering_on_overlays_of_one_base_give_the_serial_traces():
+    base = PREFERENCE_SHARED_KG
+    before = _snapshot(base)
+    query = Query(PREFERENCE_QUERY, PREFERENCE_OPTIONS, "multiple_choice")
+    alias = "Shredded barbecued pork shoulder"  # normalizes to a base alias
+
+    def run(i, embedder):
+        # the personal rows, a row on a base head, and a label on a base alias
+        kg = base.extended([*PERSONAL_KG_TRIPLES, ("R2", "cuisine", f"style {i}")],
+                           [(f"P{i}", alias)])
+        backend = ScriptedBackend(copy.deepcopy(PREFERENCE_SCRIPT))
+        trace = answer_multiple_choice(kg, embedder, backend, query).trace.to_json()
+        return trace, kg.head_index["R2"], kg.resolve_label(alias), backend.remaining()
+
+    n = 8
+    serial = [run(i, HashedEmbedder()) for i in range(n)]
+    assert [s[1:] for s in serial] == [
+        ([3, 4, len(base) + 2], ["R2", f"P{i}"], {}) for i in range(n)
+    ]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = HashedEmbedder()
+            got = [None] * n
+
+            def work(i):
+                got[i] = run(i, shared)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == serial
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert _snapshot(base) == before
 
 
 # -- the columnar store: loader parity, save, normalize, layout -----------------

@@ -88,6 +88,18 @@ def test_unknown_role_rejected():
         ScriptedBackend({"oracle": ["x"]})
 
 
+@pytest.mark.parametrize("script, named", [
+    ({"axiom": "AXIOM: a(b)"}, "'axiom'"),
+    ({"judge": ["STATUS: UNKNOWN"], "mei": [None]}, "'mei'"),
+    ({"judge": {"0": "STATUS: UNKNOWN"}}, "'judge'"),
+    (["axiom"], "script"),
+    ("axiom", "script"),
+])
+def test_scripted_rejects_a_script_that_is_not_roles_to_lists_of_strings(script, named):
+    with pytest.raises(ValueError, match=named):
+        ScriptedBackend(script)
+
+
 # -- HTTP backend ------------------------------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -194,6 +194,37 @@ def test_wrong_schema_version_rejected():
         verify_trace(ADULT_KG, doc)
 
 
+def _malformed(edit):
+    doc = adult_doc()
+    edit(doc)
+    return doc
+
+
+def _first(doc, kind):
+    return steps_of(doc, kind)[0]
+
+
+MALFORMED = {
+    "step_not_an_object": lambda d: d.update(steps=[1]),
+    "evidence_not_a_list": lambda d: _first(d, "PremiseGrounding")["payload"].update(evidence=5),
+    "payload_null": lambda d: d["steps"][0].update(payload=None),
+    "branch_unhashable": lambda d: _first(d, "AxiomSurfacing").update(branch=[1]),
+    "depth_not_a_number": lambda d: (d["config"].update(max_depth=3),
+                                     d["steps"][0].update(depth="x")),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_trace_document_raises_trace_schema_error(edit):
+    with pytest.raises(TraceSchemaError, match="malformed trace"):
+        verify_trace(ADULT_KG, _malformed(edit))
+
+
+def test_a_document_that_is_not_an_object_raises_trace_schema_error():
+    with pytest.raises(TraceSchemaError, match="malformed trace"):
+        verify_trace(ADULT_KG, [])
+
+
 def test_schema_1_trace_still_verifies():
     # Schema 1 recorded the subgraph's triple ids where schema 2 records a count.
     doc = adult_doc()
