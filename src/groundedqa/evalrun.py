@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 from .baseline import baseline_retrieve_read
 from .entities import Query
-from .kg import KnowledgeGraph
+from .kg import KgParseError, KnowledgeGraph
 from .retrieval import Embedder
 from .search import SearchConfig, answer_multiple_choice, answer_query
 from .trace import verify_trace
@@ -74,6 +74,7 @@ class Metrics:
     answer_rate: float
     grounding_precision: float
     rejected_citations: int
+    verified: int  # items whose trace ``verify_trace`` accepted
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -102,7 +103,8 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
     not a list of non-empty strings, or with a ``personal_kg`` row that is
     not three strings.
     A relative ``kg_ref`` is resolved against the dataset file's directory,
-    so the dataset loads the same from any working directory.
+    so the dataset loads the same from any working directory; an item whose
+    resolved ``kg_ref`` is not a file is malformed.
     """
     items: list[DatasetItem] = []
     ids: set[str] = set()
@@ -121,6 +123,8 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
                     raise ValueError(f"item id {item.id!r} cannot name a trace file")
                 if item.kg_ref:
                     item = replace(item, kg_ref=str(base / item.kg_ref))
+                    if not Path(item.kg_ref).is_file():
+                        raise ValueError(f"kg_ref {item.kg_ref!r} is not a file")
             except (ValueError, KeyError, TypeError) as exc:
                 skipped += 1
                 log.warning("skipping malformed item at line %d: %s", line_no, exc)
@@ -167,7 +171,9 @@ def run_eval(
 
     Writes one trace file per item under ``out_dir`` and appends the item's
     line to ``results.jsonl`` as soon as it finishes, so an exception mid-run
-    leaves every earlier item's result; returns the aggregate metrics.
+    leaves every earlier item's result; returns the aggregate metrics. An
+    item whose ``kg_ref`` file cannot be read or parsed is logged, skipped
+    and counted in ``skipped`` like a malformed line.
     """
     config = config or SearchConfig()
     out_dir = Path(out_dir)
@@ -178,9 +184,15 @@ def run_eval(
     answered = 0
     precisions: list[float] = []
     rejected = 0
+    verified = 0
     with open(out_dir / "results.jsonl", "w", encoding="utf-8") as results:
         for item in items:
-            item_kg = _item_kg(item, kg)
+            try:
+                item_kg = _item_kg(item, kg)
+            except (KgParseError, UnicodeDecodeError, OSError) as exc:
+                skipped += 1
+                log.warning("skipping item %r: cannot load its KG: %s", item.id, exc)
+                continue
             query = item_query(item)
             if baseline:
                 answer, trace = baseline_retrieve_read(
@@ -195,6 +207,7 @@ def run_eval(
             trace_path = out_dir / f"trace_{item.id}.json"
             report = verify_trace(item_kg, trace.save(trace_path))
             precisions.append(report.grounding_precision)
+            verified += report.ok
 
             ok = is_correct(item, answer.value, answer.selected_option)
             correct += ok
@@ -206,9 +219,10 @@ def run_eval(
                 "gold": item.gold,
                 "correct": ok,
                 "trace": str(trace_path),
+                "verified": report.ok,
             }, sort_keys=True) + "\n")
             results.flush()  # a run killed later keeps every finished item's line
-    n = len(items)
+    n = len(precisions)
     metrics = Metrics(
         n_items=n,
         skipped=skipped,
@@ -216,6 +230,7 @@ def run_eval(
         answer_rate=(answered / n) if n else 0.0,
         grounding_precision=(sum(precisions) / n) if n else 1.0,
         rejected_citations=rejected,
+        verified=verified,
     )
     (out_dir / "metrics.json").write_text(
         json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n",

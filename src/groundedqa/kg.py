@@ -1,9 +1,11 @@
 """Immutable triple store with label/alias resolution and 1-hop subgraph extraction.
 
 Triples are (head, relation, tail) with the head always a known entity id.
-Tails may be entity ids, free text, or numbers. The store is read-only after
-loading and safe to share across concurrent query evaluations; ``extended``
-overlays a delta on it without mutating it.
+Tails may be entity ids, free text, or numbers. The triples and indexes are
+read-only after loading; the one thing that grows is a cache of hub heads' id
+arrays, filled on first use (see ``KnowledgeGraph``). The store is safe to
+share across concurrent query evaluations; ``extended`` overlays a delta on it
+without mutating it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ _NUMBER_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
 _SEPARATORS_RE = re.compile(r"[\t\n\r]")
 # characters of lines ``load`` reads per chunk; bounds its transient memory
 _CHUNK_CHARS = 1 << 18
+
+# A head's id array is cached only when the head has more triples than this.
+# Building the array takes about 2 us for 64 ids against 89 us for a 4e3-id
+# hub (np.fromiter in a loop, 2-vCPU VM), and each cached array holds at
+# least 112 bytes beside the head's list. Caching every head instead raised
+# the qa_sparse benchmark's peak RSS from 110 to 114 MB and saved no time.
+HUB_MIN_IDS = 64
 
 
 class KgParseError(ValueError):
@@ -63,6 +72,7 @@ class Triple(NamedTuple):
 
 
 _new_tuple = tuple.__new__
+_NO_IDS = np.empty(0, dtype=np.intp)
 
 
 def id_array(triple_ids: Iterable[int]) -> np.ndarray:
@@ -111,7 +121,8 @@ class Subgraph:
 
     ``ids`` is the one representation: a sorted, distinct, read-only
     ``np.intp`` array, built once by ``KnowledgeGraph.one_hop_subgraph`` and
-    passed on unchanged to pruning. ``triple_ids`` is the same set as a
+    passed on unchanged to pruning; every single-anchor subgraph of a hub
+    shares the KG's cached array. ``triple_ids`` is the same set as a
     frozenset, built on first read for callers that want a set.
     """
 
@@ -150,6 +161,12 @@ class KnowledgeGraph:
     ``head_index`` list its triple ids in ascending order, so
     ``one_hop_subgraph`` builds its sorted id array without a set.
 
+    The rows and indexes do not change after loading, but the KG is not
+    plainly read-only: ``_head_ids`` fills a cache of read-only id arrays,
+    one per hub head (more than ``HUB_MIN_IDS`` triples), on the head's
+    first ``one_hop_subgraph``, so a hub is turned into an array once. Two
+    threads that miss at once both build the same array and keep one.
+
     ``extended`` builds an overlay rather than a copy: each of its columns
     reads the base's column below ``len(base)`` and its own above, and each
     of its indexes is a ``ChainMap`` whose first map holds only the delta's
@@ -160,7 +177,8 @@ class KnowledgeGraph:
     in its first maps and the base is never mutated; it stays safe to share.
     An overlay costs O(delta) to build and to free, whatever the base's
     size; it holds the base's containers, so they live as long as it does.
-    A loaded KG keeps plain lists and dicts.
+    Its hub cache starts empty, so it never serves a base array for a head
+    its delta grew. A loaded KG keeps plain lists and dicts.
     """
 
     def __init__(
@@ -175,6 +193,7 @@ class KnowledgeGraph:
         self._aliases: MutableMapping[str, list[str]] = {}
         self._max_alias_len = 0
         self.head_index: MutableMapping[str, list[int]] = {}
+        self._head_arrays: dict[str, np.ndarray] = {}
         self._add(*_columns(triples), labels)
 
     @property
@@ -288,6 +307,7 @@ class KnowledgeGraph:
         grown._aliases = ChainMap({}, self._aliases)
         grown._max_alias_len = self._max_alias_len
         grown.head_index = ChainMap({}, self.head_index)
+        grown._head_arrays = {}
         grown._add(heads, relations, tails, extra_labels)
         return grown
 
@@ -331,17 +351,42 @@ class KnowledgeGraph:
         """The tail as an entity id, if it resolves to a known entity."""
         return triple.tail if triple.tail in self.labels else None
 
+    def rows(self, triple_ids: Sequence[int]) -> Iterator[tuple[str, str, str]]:
+        """The (head, relation, tail) of each id, in order, without building a ``Triple``.
+
+        Ids must lie in ``[0, len(self))``.
+        """
+        return zip(*(
+            map(column.__getitem__, triple_ids)
+            for column in (self._heads, self._relations, self._tails)
+        ))
+
     def one_hop_subgraph(self, anchors: Iterable[str]) -> Subgraph:
         """All triples whose head is in the anchor set."""
-        # a head's ids ascend and distinct heads share none, so one anchor's
-        # list is already sorted and distinct
-        lists = [self.head_index[a] for a in dict.fromkeys(anchors) if a in self.head_index]
-        ids = np.fromiter(
-            itertools.chain.from_iterable(lists), dtype=np.intp, count=sum(map(len, lists)),
-        )
-        if len(lists) > 1:
-            ids.sort()
+        heads = [a for a in dict.fromkeys(anchors) if a in self.head_index]
+        if len(heads) == 1:
+            # a head's ids ascend, so one anchor's array is sorted and distinct
+            return Subgraph(self._head_ids(heads[0]))
+        # distinct heads share no id, so their concatenation needs only a sort
+        ids = np.concatenate([_NO_IDS, *map(self._head_ids, heads)])
+        ids.sort()
         return Subgraph(ids)
+
+    def _head_ids(self, head: str) -> np.ndarray:
+        """The head's triple ids as a read-only ``np.intp`` array.
+
+        The one writer of the hub cache: a head with more than
+        ``HUB_MIN_IDS`` ids is cached on first use. ``setdefault`` keeps the
+        first of two arrays built by threads that missed at once.
+        """
+        ids = self._head_arrays.get(head)
+        if ids is None:
+            listed = self.head_index[head]
+            ids = np.fromiter(listed, dtype=np.intp, count=len(listed))
+            ids.setflags(write=False)
+            if len(listed) > HUB_MIN_IDS:
+                ids = self._head_arrays.setdefault(head, ids)
+        return ids
 
 
 class _Stacked:

@@ -19,7 +19,7 @@ import mmap
 import re
 import threading
 import weakref
-from typing import Collection, Iterable, Protocol, Sequence
+from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -150,9 +150,7 @@ class _TripleRows:
         if not missing:
             return
         dimension = self.counts.shape[0]
-        counts, norms, top = _bucket_counts(
-            [verbalize(kg, kg.triple(tid)) for tid in missing], dimension,
-        )
+        counts, norms, top = _bucket_counts(_verbalized(kg.labels, kg.rows(missing)), dimension)
         bits = 8 * self.counts.itemsize
         if top >> bits:  # the token total bounds the counts; find the real top
             top = int(counts.max())
@@ -293,16 +291,25 @@ class HashedEmbedder:
         return store, store.slots[triple_ids]
 
 
+def _verbalized(labels: Mapping[str, str], rows: Iterable[tuple[str, str, str]]) -> list[str]:
+    """The one formatter: each (head, relation, tail) row as one readable line.
+
+    ``labels.get(x, x)`` is ``KnowledgeGraph.label_of``, and a tail that is
+    a known entity is exactly a tail with a label, so the tail reads as its
+    label or, failing that, as the literal it is.
+    """
+    get = labels.get
+    return [f"{get(h, h)} {r} {get(t, t)}" for h, r, t in rows]
+
+
 def verbalize(kg: KnowledgeGraph, triple: Triple) -> str:
     """Readable one-line form: head label, relation, tail label or literal."""
-    tail_entity = kg.tail_entity(triple)
-    tail = kg.label_of(tail_entity) if tail_entity is not None else triple.tail
-    return f"{kg.label_of(triple.head)} {triple.relation} {tail}"
+    return _verbalized(kg.labels, [(triple.head, triple.relation, triple.tail)])[0]
 
 
-def numbered_triples(kg: KnowledgeGraph, triple_ids: Iterable[int]) -> str:
+def numbered_triples(kg: KnowledgeGraph, triple_ids: Sequence[int]) -> str:
     """The triples as the LLM sees them: a 1-based numbered list of verbalizations."""
-    return number_lines([verbalize(kg, kg.triple(tid)) for tid in triple_ids])
+    return number_lines(_verbalized(kg.labels, kg.rows(triple_ids)))
 
 
 def top_k_similar(

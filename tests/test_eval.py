@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from groundedqa import (
     run_eval,
     verify_trace,
 )
+from groundedqa import evalrun
 from groundedqa.evalrun import DatasetItem, is_correct, load_dataset, parse_item
 
 from fixture_data import (
@@ -152,6 +154,66 @@ def test_run_eval_skips_an_item_with_a_malformed_personal_kg_row(tmp_path):
     results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
     assert [(r["id"], r["predicted"]) for r in results] == [("good", "True")]
     assert load_trace(results[0]["trace"])["query"]["text"] == "Is Q1 an adult?"
+
+
+@pytest.mark.parametrize("kg_bytes,deleted", [
+    (None, False), (b"Q1\tage\n", False), (b"Q1\tage\t\xff\n", False), (b"Q1\tage\t45\n", True),
+], ids=["missing_file", "malformed_tsv", "not_utf8", "deleted_after_loading"])
+def test_run_eval_skips_an_item_whose_kg_ref_cannot_be_loaded(
+    tmp_path, monkeypatch, kg_bytes, deleted,
+):
+    kg_file = tmp_path / "bad.tsv"
+    if kg_bytes is not None:
+        kg_file.write_bytes(kg_bytes)
+    if deleted:
+        def load_then_delete(path):
+            loaded = load_dataset(path)
+            kg_file.unlink()
+            return loaded
+
+        monkeypatch.setattr(evalrun, "load_dataset", load_then_delete)
+    bad = {"id": "bad", "task": "qa", "query": "Is Q1 an adult?", "gold": "Yes",
+           "kg_ref": "bad.tsv"}
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text(json.dumps(bad) + "\n" + _qa_line("good", "Is Q1 an adult?"),
+                       encoding="utf-8")
+    out = tmp_path / "out"
+    metrics = run_eval(dataset, KnowledgeGraph([("Q1", "age", "45")]),
+                       ScriptedBackend({"baseline": ["Yes."]}), HashedEmbedder(),
+                       out_dir=out, baseline=True)
+    assert metrics.n_items == 1 and metrics.skipped == 1 and metrics.accuracy == 1.0
+    results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [(r["id"], r["predicted"]) for r in results] == [("good", "True")]
+
+
+def test_run_eval_records_whether_each_trace_verified(tmp_path, monkeypatch):
+    dataset, triples, labels, script = write_eval_fixture(tmp_path)
+    kg = KnowledgeGraph.load(triples, labels)
+
+    def run(out):
+        metrics = run_eval(dataset, kg, ScriptedBackend(copy.deepcopy(script)),
+                           HashedEmbedder(), out_dir=out)
+        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        assert json.loads((out / "metrics.json").read_text()) == metrics.to_dict()
+        return metrics.to_dict(), rows
+
+    plain, plain_rows = run(tmp_path / "plain")
+    assert plain["verified"] == 4 and [r["verified"] for r in plain_rows] == [True] * 4
+
+    def rejects_quince(item_kg, doc):
+        report = verify_trace(item_kg, doc)
+        return replace(report, ok=report.ok and "quincea" not in doc["query"]["text"])
+
+    monkeypatch.setattr(evalrun, "verify_trace", rejects_quince)
+    rejected, rejected_rows = run(tmp_path / "rejected")
+    assert rejected["verified"] == 3
+    assert [(r["id"], r["verified"]) for r in rejected_rows] == [
+        ("adult-1", True), ("quince-1", False), ("twohop-1", True), ("nobel-1", True),
+    ]
+    # every other key keeps its value
+    assert {**rejected, "verified": 4} == plain
+    for got, want in zip(rejected_rows, plain_rows):
+        assert {**got, "trace": "", "verified": True} == {**want, "trace": ""}
 
 
 def test_run_eval_writes_one_trace_per_result_line_despite_bad_ids(tmp_path):

@@ -17,6 +17,11 @@ Only ``HashedEmbedder._stored`` writes the embedder's store: no other
 function of ``retrieval.py`` reads a ``_lock`` attribute or calls ``.fill(``,
 so every store is created and filled in one place, under one lock.
 ``__init__`` may create the lock.
+
+Only ``KnowledgeGraph._head_ids`` writes the KG's hub cache: no other
+function of a groundedqa module touches a ``_head_arrays`` attribute, so
+every cached array is built, made read-only and kept in one place.
+``KnowledgeGraph.__init__`` and ``extended`` may each start an empty cache.
 """
 
 import ast
@@ -145,27 +150,33 @@ def test_scan_flags_a_hand_written_close():
     assert _trace_closes(tree) == [1, 2, 3, 4]
 
 
-def _store_writes(tree: ast.Module) -> list[tuple[str, int]]:
-    """(qualified function name, line) of every ``_lock`` use and ``.fill(`` call.
-
-    A ``_lock`` assignment in an ``__init__`` creates the lock and is not listed.
-    """
-    found = []
+def _walk_qualified(tree: ast.Module):
+    """(qualified name of the enclosing class or function, node) for every node."""
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             name = owner
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{owner}.{child.name}" if owner else child.name
-            if isinstance(child, ast.Attribute) and child.attr == "_lock":
-                if not (isinstance(child.ctx, ast.Store) and name.endswith(".__init__")):
-                    found.append((name, child.lineno))
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                  and child.func.attr == "fill"):
-                found.append((name, child.lineno))
-            visit(child, name)
+            yield name, child
+            yield from visit(child, name)
 
-    visit(tree, "")
+    return visit(tree, "")
+
+
+def _store_writes(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified function name, line) of every ``_lock`` use and ``.fill(`` call.
+
+    A ``_lock`` assignment in an ``__init__`` creates the lock and is not listed.
+    """
+    found = []
+    for name, node in _walk_qualified(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_lock":
+            if not (isinstance(node.ctx, ast.Store) and name.endswith(".__init__")):
+                found.append((name, node.lineno))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "fill"):
+            found.append((name, node.lineno))
     return found
 
 
@@ -194,4 +205,62 @@ def test_scan_flags_a_store_write_outside_stored():
     assert _store_writes(tree) == [
         ("E.embed_triples", 5), ("E.embed_triples", 6),
         ("E._stored", 8), ("E._stored", 9), ("swap", 11),
+    ]
+
+
+_HUB_CACHE_STARTS = {"KnowledgeGraph.__init__", "KnowledgeGraph.extended"}
+
+
+def _hub_cache_uses(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified function name, line) of every ``_head_arrays`` use outside ``_head_ids``.
+
+    Assigning an empty dict literal in ``KnowledgeGraph.__init__`` or
+    ``extended`` starts a cache and is not listed.
+    """
+    starts = {
+        id(node.targets[0] if isinstance(node, ast.Assign) else node.target)
+        for name, node in _walk_qualified(tree)
+        if name in _HUB_CACHE_STARTS and isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Dict) and not node.value.keys
+    }
+    return [
+        (name, node.lineno) for name, node in _walk_qualified(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_head_arrays"
+        and name != "KnowledgeGraph._head_ids" and id(node) not in starts
+    ]
+
+
+SOURCES = sorted(ROOT.glob("src/groundedqa/*.py"))
+
+
+def test_only_head_ids_writes_the_hub_cache():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    accessor = [
+        node for name, node in _walk_qualified(trees["kg.py"])
+        if name == "KnowledgeGraph._head_ids"
+        and isinstance(node, ast.Attribute) and node.attr == "_head_arrays"
+    ]
+    assert accessor, "the scan found no use of the hub cache in KnowledgeGraph._head_ids"
+    outside = {name: uses for name, tree in trees.items() if (uses := _hub_cache_uses(tree))}
+    assert not outside, f"hub cache used outside KnowledgeGraph._head_ids: {outside}"
+
+
+def test_scan_flags_a_hub_cache_write_outside_head_ids():
+    tree = ast.parse(
+        "class KnowledgeGraph:\n"
+        "    def __init__(self):\n"
+        "        self._head_arrays: dict = {}\n"
+        "    def extended(self):\n"
+        "        grown._head_arrays = {}\n"
+        "        grown._head_arrays = self._head_arrays\n"
+        "    def _head_ids(self, head):\n"
+        "        return self._head_arrays.setdefault(head, ids)\n"
+        "    def one_hop_subgraph(self, anchors):\n"
+        "        self._head_arrays[anchors[0]] = ids\n"
+        "def warm(kg):\n"
+        "    kg._head_arrays.update(arrays)\n"
+    )
+    assert _hub_cache_uses(tree) == [
+        ("KnowledgeGraph.extended", 6), ("KnowledgeGraph.extended", 6),
+        ("KnowledgeGraph.one_hop_subgraph", 10), ("warm", 12),
     ]

@@ -158,6 +158,79 @@ def test_one_hop_monotone_in_anchors(data):
     assert kg.one_hop_subgraph(a1).triple_ids <= kg.one_hop_subgraph(a2).triple_ids
 
 
+# -- the hub cache ----------------------------------------------------------------
+
+def _hub_kg(hub_ids=kg_module.HUB_MIN_IDS + 1):
+    """Head "hub" with ``hub_ids`` triples, interleaved with "leaf", which has ``HUB_MIN_IDS``."""
+    rows = []
+    for i in range(max(hub_ids, kg_module.HUB_MIN_IDS)):
+        if i < hub_ids:
+            rows.append(("hub", "r", f"t{i}"))
+        if i < kg_module.HUB_MIN_IDS:
+            rows.append(("leaf", "r", f"t{i}"))
+    return KnowledgeGraph(rows)
+
+
+def test_a_hub_subgraph_is_one_cached_read_only_array():
+    kg = _hub_kg()
+    assert not kg._head_arrays  # nothing is built at load
+    first = kg.one_hop_subgraph(["hub"]).ids
+    assert kg.one_hop_subgraph(["hub", "absent"]).ids is first
+    assert first.tolist() == kg.head_index["hub"] and first.dtype == np.intp
+    with pytest.raises(ValueError):
+        first[0] = 1
+    both = kg.one_hop_subgraph(["leaf", "hub"]).ids
+    assert both.tolist() == list(range(len(kg))) and not both.flags.writeable
+
+
+def test_a_head_at_the_bound_is_not_cached():
+    kg = _hub_kg()
+    first, second = (kg.one_hop_subgraph(["leaf"]).ids for _ in range(2))
+    assert len(first) == kg_module.HUB_MIN_IDS and first is not second
+    assert first.tolist() == second.tolist() == kg.head_index["leaf"]
+    assert not first.flags.writeable and not kg._head_arrays
+
+
+def test_an_overlay_never_serves_the_base_array_of_a_head_its_delta_grew():
+    base = _hub_kg()
+    cached = base.one_hop_subgraph(["hub"]).ids
+    before = list(base.head_index["hub"])
+    grown = base.extended([("hub", "r", "new"), ("leaf", "r", "x"), ("hub", "r", "newer")])
+    n = len(base)
+    assert grown.one_hop_subgraph(["hub"]).ids.tolist() == before + [n, n + 2]
+    assert grown.one_hop_subgraph(["hub"]).ids is grown.one_hop_subgraph(["hub"]).ids
+    assert base.one_hop_subgraph(["hub"]).ids is cached
+    assert cached.tolist() == before and base.head_index["hub"] == before
+    untouched = base.extended([("other", "r", "x")])
+    assert untouched.one_hop_subgraph(["hub"]).ids.tolist() == before
+
+
+def test_threads_on_a_fresh_kg_get_equal_hub_arrays():
+    kg = _hub_kg(4000)
+    n = 8
+    got = [None] * n
+    start = threading.Barrier(n, timeout=30)
+
+    def work(i):
+        start.wait()
+        got[i] = kg.one_hop_subgraph(["hub"]).ids
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert all(ids.tolist() == kg.head_index["hub"] for ids in got)
+    kept = kg.one_hop_subgraph(["hub"]).ids
+    assert any(ids is kept for ids in got) and kg.one_hop_subgraph(["hub"]).ids is kept
+
+
 def test_save_load_round_trip(tmp_path, small_kg):
     out = tmp_path / "out.tsv"
     small_kg.save(out)

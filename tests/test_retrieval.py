@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from groundedqa import (
     HashedEmbedder,
@@ -11,8 +12,11 @@ from groundedqa import (
     top_k_similar,
     verbalize,
 )
-from groundedqa.retrieval import llm_select_triples
+from groundedqa.prompts import number_lines
+from groundedqa.retrieval import _verbalized, llm_select_triples, numbered_triples
 from groundedqa.trace import Audit
+
+from fixture_data import PREFERENCE_KG, PREFERENCE_SHARED_KG, TWO_HOP_KG
 
 AXIOM = parse_axiom("age(Q1) < 20")
 
@@ -47,6 +51,53 @@ def test_verbalize_uses_labels(small_kg):
 def test_verbalize_missing_label_uses_raw_id():
     kg = KnowledgeGraph(triples=[("Q1", "r", "Qx")])
     assert verbalize(kg, kg.triple(0)) == "Q1 r Qx"
+
+
+def _verbalize_by_lookups(kg, triple):
+    """The reference: ``label_of`` for the head, ``tail_entity`` then ``label_of`` for the tail."""
+    tail_entity = kg.tail_entity(triple)
+    tail = kg.label_of(tail_entity) if tail_entity is not None else triple.tail
+    return f"{kg.label_of(triple.head)} {triple.relation} {tail}"
+
+
+_JAZZ_BASE = KnowledgeGraph(
+    [("Sam", "likes", "jazz"), ("Sam", "knows", "Bo"), ("Bo", "age", "29"), ("Sam", "r", "Kim")],
+    [("Sam", "Sam Smith"), ("Bo", "Bo Bell")],
+)
+# the overlay's labels turn the base's literal tail "jazz" into an entity
+_JAZZ_OVERLAY = _JAZZ_BASE.extended([("Kim", "likes", "jazz")], [("jazz", "Jazz music")])
+
+
+@pytest.mark.parametrize("kg", [
+    PREFERENCE_SHARED_KG, PREFERENCE_KG, TWO_HOP_KG, _JAZZ_BASE, _JAZZ_OVERLAY,
+], ids=["shared", "personal_overlay", "two_hop", "jazz_base", "jazz_overlay"])
+def test_the_formatter_equals_label_lookups_on_every_triple(kg):
+    ids = list(range(len(kg)))
+    want = [_verbalize_by_lookups(kg, kg.triple(i)) for i in ids]
+    assert [verbalize(kg, kg.triple(i)) for i in ids] == want
+    assert _verbalized(kg.labels, kg.rows(ids)) == want
+    assert numbered_triples(kg, ids[::-1]) == number_lines(want[::-1])
+
+
+def test_an_overlay_label_turns_a_literal_tail_into_an_entity():
+    assert verbalize(_JAZZ_BASE, _JAZZ_BASE.triple(0)) == "Sam Smith likes jazz"
+    assert verbalize(_JAZZ_OVERLAY, _JAZZ_OVERLAY.triple(0)) == "Sam Smith likes Jazz music"
+    assert verbalize(_JAZZ_OVERLAY, _JAZZ_OVERLAY.triple(-1)) == "Kim likes Jazz music"
+
+
+def test_prompts_and_a_cold_store_fill_build_no_triple(monkeypatch):
+    kg = _JAZZ_OVERLAY
+    ids = list(range(len(kg)))
+    want_lines = numbered_triples(kg, ids)
+    want_rows = HashedEmbedder().embed_triples(kg, ids)
+    calls = []
+    real = KnowledgeGraph.triple
+    monkeypatch.setattr(KnowledgeGraph, "triple", lambda self, i: calls.append(i) or real(self, i))
+    assert numbered_triples(kg, ids) == want_lines
+    assert np.array_equal(HashedEmbedder().embed_triples(kg, ids), want_rows)
+    assert calls == []
+    kg.triple(0)
+    assert calls == [0]  # the guard sees a call
 
 
 def test_hashed_embedder_is_deterministic_and_normalized():
