@@ -31,6 +31,17 @@ _GOLD_FALSE = {"no", "incorrect", "false"}
 _UNSAFE_ID_CHARS = frozenset(c for c in ("/", os.sep, os.altsep, "\0") if c)
 
 
+def _names_a_file(item_id: str) -> bool:
+    """Whether ``item_id`` can be part of a file name on this OS."""
+    if not item_id or not _UNSAFE_ID_CHARS.isdisjoint(item_id):
+        return False
+    try:
+        os.fsencode(item_id)  # a lone surrogate, say, has no file-system bytes
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class DatasetItem:
     id: str
@@ -98,10 +109,10 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
     """Parse a JSONL dataset; malformed items are skipped with a warning.
 
     An item's id names its trace file, so an item whose id is empty, holds a
-    path separator or NUL, or repeats an earlier item's id is malformed too,
-    as is one whose query is not a non-empty string, whose ``options`` is
-    not a list of non-empty strings, or with a ``personal_kg`` row that is
-    not three strings.
+    path separator or NUL, has no file-system encoding (a lone surrogate), or
+    repeats an earlier item's id is malformed too, as is one whose query is
+    not a non-empty string, whose ``options`` is not a list of non-empty
+    strings, or with a ``personal_kg`` row that is not three strings.
     A relative ``kg_ref`` is resolved against the dataset file's directory,
     so the dataset loads the same from any working directory; an item whose
     resolved ``kg_ref`` is not a file is malformed.
@@ -119,7 +130,7 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
                 item = parse_item(json.loads(line))
                 if item.id in ids:
                     raise ValueError(f"repeated item id {item.id!r}")
-                if not item.id or not _UNSAFE_ID_CHARS.isdisjoint(item.id):
+                if not _names_a_file(item.id):
                     raise ValueError(f"item id {item.id!r} cannot name a trace file")
                 if item.kg_ref:
                     item = replace(item, kg_ref=str(base / item.kg_ref))

@@ -105,80 +105,26 @@ class ReasoningTrace:
         }
 
     def to_json(self) -> str:
-        return _dumps(self.to_dict())
+        return _compact_json(self.to_dict())
 
     def save(self, path: str | Path) -> dict[str, Any]:
-        """Write the trace document to ``path`` and return the document written."""
+        """Write the trace document to ``path`` and return the document written.
+
+        The file holds ``to_json()`` and a newline, in UTF-8. A lone
+        surrogate (JSON text and a non-UTF-8 argv can carry one) can only sit
+        inside a JSON string, so ``backslashreplace`` writes it as the
+        ``\\ud800`` escape that loads back to the same str. The bytes are
+        built before the file is opened, so a document that cannot be
+        encoded raises and leaves no file.
+        """
         doc = self.to_dict()
-        Path(path).write_text(_dumps(doc) + "\n", encoding="utf-8")
+        Path(path).write_bytes((_compact_json(doc) + "\n").encode("utf-8", "backslashreplace"))
         return doc
 
 
-def _dumps(doc: dict[str, Any]) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``, byte for byte.
-
-    Sorted keys and fixed separators keep serialization byte-stable. With an
-    indent the standard library encodes in pure Python through one generator
-    per container; one writer appending to one list is faster.
-    """
-    parts: list[str] = []
-    _write_json(doc, parts, "\n")
-    return "".join(parts)
-
-
-_encode_str = json.encoder.encode_basestring  # the C encoder where it is built
-_INFINITY = float("inf")
-
-
-def _write_json(value: Any, parts: list[str], newline: str) -> None:
-    """Append ``value``'s JSON to ``parts``; ``newline`` ends with its indent."""
-    if isinstance(value, str):
-        parts.append(_encode_str(value))
-    elif type(value) is int:  # the common leaf; bool and int subclasses go below
-        parts.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _write_json(item, parts, inner)
-            sep = "," + inner
-        parts.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            key = key if isinstance(key, str) else _scalar_json(key)  # as json converts keys
-            parts.append(sep + _encode_str(key) + ": ")
-            _write_json(item, parts, inner)
-            sep = "," + inner
-        parts.append(newline + "}")
-    else:
-        parts.append(_scalar_json(value))
-
-
-def _scalar_json(value: Any) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (_INFINITY, -_INFINITY):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _compact_json(doc: dict[str, Any]) -> str:
+    """The stdlib C encoder's compact form with sorted keys, so byte-stable."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def load_trace(path: str | Path) -> dict[str, Any]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from groundedqa import SearchConfig
+from groundedqa import SearchConfig, load_trace
 from groundedqa.cli import EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, EXIT_VERIFY, _build_parser, main
 
 from fixture_data import (
@@ -50,6 +50,25 @@ def test_ask_then_verify_round_trip(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["ok"] is True
     assert report["grounding_precision"] == 1.0
+
+
+def test_verify_reads_indented_and_compact_traces_alike(tmp_path, capsys):
+    triples, labels, script = write_adult_files(tmp_path)
+    compact = tmp_path / "trace.json"
+    main([
+        "ask", *scripted_args(triples, labels, script),
+        "--query", ADULT_QUERY, "--trace-out", str(compact),
+    ])
+    doc = load_trace(compact)
+    indented = tmp_path / "indented.json"  # the layout traces had before they went compact
+    indented.write_text(
+        json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n", encoding="utf-8",
+    )
+    assert load_trace(indented) == doc
+    capsys.readouterr()
+    for path in (compact, indented):
+        code = main(["verify", str(path), "--kg", str(triples), "--labels", str(labels)])
+        assert code == EXIT_OK and json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_verify_tampered_trace_fails(tmp_path, capsys):

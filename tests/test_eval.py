@@ -238,6 +238,22 @@ def test_run_eval_writes_one_trace_per_result_line_despite_bad_ids(tmp_path):
     ]
 
 
+def test_run_eval_skips_an_id_with_no_file_system_encoding(tmp_path):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text(
+        _qa_line("a", "Is Q1 an adult?") + _qa_line("claim-" + chr(0xD800))
+        + _qa_line("b", "Is Q2 an adult?"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    metrics = run_eval(dataset, KnowledgeGraph([("Q1", "age", "45")]),
+                       ScriptedBackend({"baseline": ["Yes.", "No."]}),
+                       HashedEmbedder(), out_dir=out, baseline=True)
+    assert metrics.n_items == 2 and metrics.skipped == 1
+    results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [r["id"] for r in results] == ["a", "b"]
+
+
 def test_is_correct_rules():
     qa = DatasetItem(id="1", task="qa", query="q", gold="Yes")
     assert is_correct(qa, "True", None)

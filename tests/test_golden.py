@@ -8,6 +8,13 @@ The ``preference`` trace was re-recorded when entity linking moved to once
 per item, because its script then holds one linking answer for both options
 (the union of the two per-option answers); the code before that move, given
 that answer once per option, writes the same bytes.
+All eight were re-recorded once more when traces went from the ``indent=2``
+layout to the standard library's compact form (``separators=(",", ":")``,
+still sorted keys and ``ensure_ascii=False``). Before that re-record, each
+scenario's ``json.dumps(json.loads(trace.to_json()), sort_keys=True,
+indent=2, ensure_ascii=False)`` was checked to hash to the value recorded
+for the indented layout, 8 of 8: the documents did not change, only their
+layout.
 A changed hash means a change in what the engine asks the LLM or writes to
 its trace, which needs its own justification, not a new hash.
 
@@ -92,14 +99,14 @@ SCENARIOS = {
 }
 
 TRACE_SHA256 = {
-    "already_anchor": "f0da8ee1f3ccd064393073969a8b22a846836e5b4b260cbcdb468db356290ef5",
-    "branch_isolation": "596f8e14b7e34e88d04c736f3c5d9810b7ff609a98d4c0927ed5e9873aa88f59",
-    "contradiction": "6a533e81947cda92f6dd9dbe8d76510c0a01c44cff69b45f2f50df7ce6c2af36",
-    "preference": "71781f8365cdb86556abc2a828f2256e629bc4bfaddfdb3db9feade479d0433d",
-    "single_hop": "a001c62ff6d5ef5a02ebe0d17545b390e50a9e64c5549c6a0bd31a93e635bb4c",
-    "two_hop": "f9f21bf57d7cecf72fcfe368b96e61bd560e54650af2ccff43485c6717b5b2e3",
-    "two_hop_no_mei": "25bb2583709538c902667d9139e0046ca868aff789f89f905b4506d38da267b3",
-    "unknown": "0c1beb03169ca0058bcc79dafa13364b8d63dd11c81b2ac068dd73d522195e77",
+    "already_anchor": "7810d121882044b8e91bad559bd293bde35dce83edee3cf3a6b73ba8e7e63f6e",
+    "branch_isolation": "fbf50446ffd49e37c1857a43498984c8a96793efec3f1364b0d02e879360b310",
+    "contradiction": "139a6f00f3086486740630fc0a84de55df6b22e1672d54d8b41c210448bf9e0e",
+    "preference": "8dd8567db6c58d17824d127a8500f6b633faf3433301d186040c031bf5a0bf87",
+    "single_hop": "de0c1e25feb496614255fbb14158a162fcdd6f50cc0ae03f39facd395f5cb5c6",
+    "two_hop": "8756978e5b99ec16ac31aba797bb74b472c2af2bd8db1f202f027cd71886f3d3",
+    "two_hop_no_mei": "0b0a2c0c0f4acbf65d6190d079e50ebc1e581223e99aa4d5e2f28fbfb392242c",
+    "unknown": "958636fc236c03528ce2c7786b31dce8bdb887a6c52afe83869648eedd1c2ff6",
 }
 
 PROMPT_CONTEXTS = {

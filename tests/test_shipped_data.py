@@ -50,6 +50,22 @@ def test_claim_dataset(sample_kg, tmp_path):
     assert metrics.accuracy == 1.0 and metrics.answer_rate == 1.0
 
 
+def test_a_lone_surrogate_in_a_query_keeps_the_eval_going(sample_kg, tmp_path):
+    # JSON may escape a lone surrogate; the trace must still be written and verify.
+    lines = (DATA / "datasets" / "claim.jsonl").read_text(encoding="utf-8").splitlines()
+    assert "\u00f1" in lines[0]
+    dataset = tmp_path / "claim.jsonl"
+    dataset.write_text("\n".join([lines[0].replace("\u00f1", "\\ud800"), *lines[1:]]) + "\n",
+                       encoding="utf-8")
+    script = json.loads((DATA / "scripts" / "claim_script.json").read_text())
+    out = tmp_path / "out"
+    metrics = run_eval(dataset, sample_kg, ScriptedBackend(script), HashedEmbedder(), out_dir=out)
+    assert metrics.n_items == 3 and metrics.verified == 3
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert len(rows) == 3 and all(row["verified"] for row in rows)
+    assert chr(0xD800) in load_trace(rows[0]["trace"])["query"]["text"]
+
+
 def test_preference_dataset(sample_kg, tmp_path):
     metrics = run_shipped("preference", sample_kg, tmp_path)
     assert metrics.n_items == 3

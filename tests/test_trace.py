@@ -2,8 +2,6 @@ import copy
 import json
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from groundedqa import (
     HashedEmbedder,
@@ -15,7 +13,7 @@ from groundedqa import (
     load_trace,
     verify_trace,
 )
-from groundedqa.trace import SCHEMA_VERSION, TraceSchemaError, _dumps
+from groundedqa.trace import SCHEMA_VERSION, TraceSchemaError
 
 from fixture_data import (
     ADULT_KG,
@@ -136,45 +134,38 @@ def test_non_ascii_round_trips(tmp_path):
     assert "quinceañera" in path.read_text(encoding="utf-8")
 
 
-_JSON_TEXT = st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7fé東😀\u2028 '))
-_JSON_LEAVES = (
-    st.none() | st.booleans() | st.integers() | _JSON_TEXT
-    | st.floats(allow_nan=True, allow_infinity=True)
-)
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
-    max_leaves=25,
-)
+def test_a_lone_surrogate_round_trips(tmp_path):
+    text = f"quincea{chr(0xD800)}era?"  # JSON text and a non-UTF-8 argv can carry one
+    trace = ReasoningTrace(query={"text": text}, config={})
+    path = tmp_path / "t.json"
+    trace.save(path)
+    assert load_trace(path)["query"]["text"] == text
 
 
-@settings(max_examples=400, deadline=None)
-@given(_JSON_VALUES)
-@example({})
-@example({"a": [], "b": {}, "c": [{}, [[]]], "": None})
-@example({"x": [True, False, 0, -1, 2**70, 0.1, -0.0, 1e300, "ö\"\\\n"]})
-@example([float("inf"), float("-inf"), float("nan"), {"k": -1e-300}])
-def test_dumps_matches_the_standard_library_byte_for_byte(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+def test_save_rejects_what_json_cannot_encode(tmp_path):
+    trace = ReasoningTrace(query={"text": "q"}, config={})
+    trace.record("Pruning", {"x": {1, 2}})
+    path = tmp_path / "t.json"
+    with pytest.raises(TypeError):
+        trace.save(path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("keys", [[1, "b"], [2.5, True], [None, False], [10, 9]])
-def test_dumps_converts_non_string_keys_like_the_standard_library(keys):
-    value = dict.fromkeys(keys, 0)
+def test_save_converts_non_string_keys_like_the_standard_library(keys, tmp_path):
+    payload = dict.fromkeys(keys, 0)
+    trace = ReasoningTrace(query={"text": "q"}, config={})
+    trace.record("Pruning", payload)
+    path = tmp_path / "t.json"
     try:
-        want = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
-    except TypeError:
+        want = json.loads(json.dumps(payload, sort_keys=True))
+    except TypeError:  # mixed key types cannot be sorted
         with pytest.raises(TypeError):
-            _dumps(value)
+            trace.save(path)
+        assert not path.exists()
     else:
-        assert _dumps(value) == want
-
-
-def test_dumps_rejects_what_json_cannot_encode():
-    with pytest.raises(TypeError):
-        _dumps({"x": {1, 2}})
+        trace.save(path)
+        assert load_trace(path)["steps"][0]["payload"] == want
 
 
 # -- verification -------------------------------------------------------------
@@ -352,7 +343,13 @@ def test_baseline_trace_still_checks_citations():
     assert not report.ok and rules(report) == {"V1"}
 
 
-def test_trace_json_has_sorted_keys():
-    text = ReasoningTrace(query={"text": "q"}, config={}).to_json()
+def test_trace_json_has_sorted_keys(tmp_path):
+    trace = ReasoningTrace(query={"text": "q"}, config={})
+    text = trace.to_json()
     doc = json.loads(text)
     assert list(doc) == sorted(doc)
+    path = tmp_path / "t.json"
+    trace.save(path)
+    data = path.read_bytes()
+    assert data.count(b"\n") == 1 and data.endswith(b"\n")  # one line
+    assert data.decode("utf-8") == text + "\n"
