@@ -148,7 +148,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KgParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (KgParseError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # a file that cannot be read, decoded, parsed or created
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TransportError as exc:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
@@ -169,6 +171,16 @@ def _item_kg(item: DatasetItem, kg: KnowledgeGraph) -> KnowledgeGraph:
     return kg
 
 
+def _create(path: str, started: threading.Lock) -> None:
+    """Create ``path`` as an empty file unless it exists; a helper thread runs it.
+
+    Releasing ``started`` first lets the caller, blocked on it, run again once
+    the create call has let go of the GIL.
+    """
+    started.release()
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+
+
 def run_eval(
     dataset_file: str | Path,
     kg: KnowledgeGraph,
@@ -184,7 +196,13 @@ def run_eval(
     line to ``results.jsonl`` as soon as it finishes, so an exception mid-run
     leaves every earlier item's result; returns the aggregate metrics. An
     item whose ``kg_ref`` file cannot be read or parsed is logged, skipped
-    and counted in ``skipped`` like a malformed line.
+    and counted in ``skipped`` like a malformed line, and gets no trace file.
+
+    One helper thread per call, which takes no option, creates each item's
+    trace file empty while the engine answers the item; ``ReasoningTrace.save``
+    then fills it on the calling thread. So ``trace_<id>.json`` exists while
+    its item runs, and an item that raises leaves none. The helper is shut
+    down before this function returns or raises.
     """
     config = config or SearchConfig()
     out_dir = Path(out_dir)
@@ -196,7 +214,13 @@ def run_eval(
     precisions: list[float] = []
     rejected = 0
     verified = 0
-    with open(out_dir / "results.jsonl", "w", encoding="utf-8") as results:
+    # Creating a file costs kernel time that the idle core spends while this
+    # thread answers the item; ``save`` then only rewrites the file. The helper
+    # does nothing else, since this thread waits whenever the helper holds the GIL.
+    started = threading.Lock()
+    started.acquire()
+    with open(out_dir / "results.jsonl", "w", encoding="utf-8") as results, \
+            ThreadPoolExecutor(max_workers=1) as creator:
         for item in items:
             try:
                 item_kg = _item_kg(item, kg)
@@ -204,19 +228,31 @@ def run_eval(
                 skipped += 1
                 log.warning("skipping item %r: cannot load its KG: %s", item.id, exc)
                 continue
-            query = item_query(item)
-            if baseline:
-                answer, trace = baseline_retrieve_read(
-                    item_kg, embedder, backend, query, k=config.top_k,
-                )
-            else:
-                answer_fn = answer_multiple_choice if query.options else answer_query
-                result = answer_fn(item_kg, embedder, backend, query, config)
-                answer, trace = result.answer, result.trace
-                rejected += result.audit.rejected_citations
-
             trace_path = out_dir / f"trace_{item.id}.json"
-            report = verify_trace(item_kg, trace.save(trace_path))
+            created = creator.submit(_create, str(trace_path), started)
+            try:
+                # Block until the helper is in the create call: this thread seldom
+                # lets go of the GIL while it answers, so the create would start late.
+                started.acquire()
+                query = item_query(item)
+                if baseline:
+                    answer, trace = baseline_retrieve_read(
+                        item_kg, embedder, backend, query, k=config.top_k,
+                    )
+                else:
+                    answer_fn = answer_multiple_choice if query.options else answer_query
+                    result = answer_fn(item_kg, embedder, backend, query, config)
+                    answer, trace = result.answer, result.trace
+                    rejected += result.audit.rejected_citations
+                created.result()  # re-raises the helper's OSError here
+                doc = trace.save(trace_path)
+            except BaseException:
+                # Wait first, so the file is not created after the unlink; what the
+                # helper could not create (a directory, say) is not this item's.
+                if created.exception() is None:
+                    trace_path.unlink(missing_ok=True)
+                raise
+            report = verify_trace(item_kg, doc)
             precisions.append(report.grounding_precision)
             verified += report.ok
 

@@ -176,6 +176,29 @@ def test_missing_kg_file_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("case", ["verify_non_utf8_trace", "verify_a_directory",
+                                  "eval_trace_out_is_a_file"])
+def test_an_unreadable_or_uncreatable_file_is_one_error_line(tmp_path, capsys, case):
+    triples, labels, script = write_adult_files(tmp_path)
+    if case == "eval_trace_out_is_a_file":
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        argv = ["eval", *scripted_args(triples, labels, script),
+                "--dataset", str(dataset), "--trace-out", str(taken)]
+    else:
+        trace = tmp_path / "trace.json"
+        if case == "verify_a_directory":
+            trace.mkdir()
+        else:
+            trace.write_bytes(b'{"query": "\xff"}\n')
+        argv = ["verify", str(trace), "--kg", str(triples), "--labels", str(labels)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_unreachable_http_backend_is_transport_error(tmp_path, capsys):
     triples, labels, _ = write_adult_files(tmp_path)
     code = main([

@@ -1,13 +1,18 @@
+import contextlib
 import copy
 import json
 import os
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from groundedqa import (
     HashedEmbedder,
     KnowledgeGraph,
+    ReasoningTrace,
+    ScriptExhaustedError,
     ScriptedBackend,
     SearchConfig,
     TransportError,
@@ -184,6 +189,7 @@ def test_run_eval_skips_an_item_whose_kg_ref_cannot_be_loaded(
     assert metrics.n_items == 1 and metrics.skipped == 1 and metrics.accuracy == 1.0
     results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
     assert [(r["id"], r["predicted"]) for r in results] == [("good", "True")]
+    assert not (out / "trace_bad.json").exists()
 
 
 def test_run_eval_records_whether_each_trace_verified(tmp_path, monkeypatch):
@@ -388,6 +394,83 @@ def test_run_eval_keeps_the_results_written_before_a_failure(tmp_path):
                  out_dir=out, baseline=True)
     results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
     assert [(r["id"], r["predicted"]) for r in results] == [("adult-1", "True"), ("quince-1", "False")]
+    # the failed third item leaves no (empty) trace file behind
+    assert sorted(p.name for p in out.glob("trace_*.json")) == [
+        "trace_adult-1.json", "trace_quince-1.json",
+    ]
+
+
+def test_run_eval_removes_the_trace_file_of_an_item_whose_save_fails(tmp_path, monkeypatch):
+    dataset, triples, labels, _ = write_eval_fixture(tmp_path)
+    save = ReasoningTrace.save
+
+    def fails_on_third_item(self, path):
+        if "twohop" in str(path):
+            raise TypeError("cannot encode the payload")
+        return save(self, path)
+
+    monkeypatch.setattr(ReasoningTrace, "save", fails_on_third_item)
+    out = tmp_path / "out"
+    with pytest.raises(TypeError):
+        run_eval(dataset, KnowledgeGraph.load(triples, labels),
+                 ScriptedBackend({"baseline": ["Yes.", "No.", "Yes."]}), HashedEmbedder(),
+                 out_dir=out, baseline=True)
+    assert sorted(p.name for p in out.glob("trace_*.json")) == [
+        "trace_adult-1.json", "trace_quince-1.json",
+    ]
+
+
+def test_run_eval_raises_the_error_that_kept_a_trace_file_from_being_created(tmp_path):
+    dataset, triples, labels, _ = write_eval_fixture(tmp_path)
+    out = tmp_path / "out"
+    (out / "trace_quince-1.json").mkdir(parents=True)  # the path cannot be opened as a file
+    with pytest.raises(IsADirectoryError) as excinfo:
+        run_eval(dataset, KnowledgeGraph.load(triples, labels),
+                 ScriptedBackend({"baseline": ["Yes.", "No."]}), HashedEmbedder(),
+                 out_dir=out, baseline=True)
+    assert excinfo.value.__context__ is None  # raised by the creation, not by a clean-up
+    assert (out / "trace_quince-1.json").is_dir()
+    results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [r["id"] for r in results] == ["adult-1"]
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["engine", "baseline"])
+def test_run_eval_saves_each_trace_once_on_the_main_thread(tmp_path, monkeypatch, baseline):
+    # A traced benchmark run wraps ``ReasoningTrace.save`` with single-threaded
+    # span bookkeeping and reads the file's size as soon as ``save`` returns.
+    dataset, triples, labels, script = write_eval_fixture(tmp_path)
+    saves = []
+    save = ReasoningTrace.save
+
+    def checked_save(self, path):
+        doc = save(self, path)
+        saves.append((threading.current_thread(), str(path),
+                      Path(path).read_text(encoding="utf-8") == self.to_json() + "\n"))
+        return doc
+
+    monkeypatch.setattr(ReasoningTrace, "save", checked_save)
+    backend = ScriptedBackend({"baseline": ["Yes.", "No.", "Yes.", "Maybe."]} if baseline
+                              else copy.deepcopy(script))
+    out = tmp_path / "out"
+    metrics = run_eval(dataset, KnowledgeGraph.load(triples, labels), backend,
+                       HashedEmbedder(), out_dir=out, baseline=baseline)
+    assert metrics.n_items == 4
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert saves == [(threading.main_thread(), row["trace"], True) for row in rows]
+
+
+@pytest.mark.parametrize("replies, outcome", [
+    (["Yes.", "No.", "Yes.", "No."], contextlib.nullcontext()),
+    (["Yes.", "No."], pytest.raises(ScriptExhaustedError)),
+], ids=["returns", "raises"])
+def test_run_eval_leaves_no_thread_running(tmp_path, replies, outcome):
+    dataset, triples, labels, _ = write_eval_fixture(tmp_path)
+    before = set(threading.enumerate())
+    with outcome:
+        run_eval(dataset, KnowledgeGraph.load(triples, labels),
+                 ScriptedBackend({"baseline": replies}), HashedEmbedder(),
+                 out_dir=tmp_path / "out", baseline=True)
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_run_eval_empty_dataset(tmp_path):

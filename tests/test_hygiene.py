@@ -57,7 +57,7 @@ def _used(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:  # a string annotation such as "Optional[KnowledgeGraph]"
                 inner = ast.parse(node.value, mode="eval")
-            except SyntaxError:
+            except (SyntaxError, ValueError):  # a lone surrogate cannot be encoded to parse
                 continue
             used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
     return used
@@ -75,6 +75,11 @@ def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Optional, List\nx: 'List[int]' = os.sep\n")
     used = _used(tree)
     assert [n for n in _imported(tree) if n not in used] == ["Optional"]
+
+
+def test_scan_reads_a_module_holding_a_lone_surrogate():
+    tree = ast.parse('import os\nx = "\\ud800" + os.sep\n')
+    assert "os" in _used(tree)
 
 
 def _exchanges(tree: ast.Module) -> list[int]:
