@@ -3,7 +3,9 @@
 Subcommands: ``ask`` (answer one query), ``eval`` (dataset run), ``verify``
 (check a trace file against the KG), ``baseline`` (retrieve-and-read run).
 Exit codes: 0 success, 1 usage error, 2 transport error, 3 verification
-failure.
+failure. A file that cannot be read, decoded or parsed is a usage error, and
+so is a ``--script`` that runs out of responses for a role before the run
+ends.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import asdict
 from .entities import Query
 from .evalrun import run_eval
 from .kg import KgParseError, KnowledgeGraph
-from .llm import HttpBackend, HttpConfig, ScriptedBackend, TransportError
+from .llm import HttpBackend, HttpConfig, ScriptedBackend, ScriptExhaustedError, TransportError
 from .retrieval import HashedEmbedder
 from .search import SearchConfig, answer_multiple_choice, answer_query
 from .trace import TraceSchemaError, load_trace, verify_trace
@@ -151,6 +153,9 @@ def main(argv=None) -> int:
     except (KgParseError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         # a file that cannot be read, decoded, parsed or created
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ScriptExhaustedError as exc:  # the --script file does not cover the run
+        print(f"error: {args.script}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from .baseline import baseline_retrieve_read
 from .entities import Query
-from .kg import KgParseError, KnowledgeGraph
+from .kg import KgParseError, KnowledgeGraph, named_decode_errors
 from .retrieval import Embedder
 from .search import SearchConfig, answer_multiple_choice, answer_query
 from .trace import verify_trace
@@ -94,6 +94,8 @@ class Metrics:
 
 
 def parse_item(raw: dict[str, Any]) -> DatasetItem:
+    if not isinstance(raw, dict):
+        raise ValueError(f"item {raw!r:.40} is not a JSON object")
     options = raw.get("options", ())
     return DatasetItem(
         id=str(raw["id"]),
@@ -110,6 +112,7 @@ def parse_item(raw: dict[str, Any]) -> DatasetItem:
 def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
     """Parse a JSONL dataset; malformed items are skipped with a warning.
 
+    A line that is not a JSON object (``[1, 2]``, ``null``) is malformed.
     An item's id names its trace file, so an item whose id is empty, holds a
     path separator or NUL, has no file-system encoding (a lone surrogate), or
     repeats an earlier item's id is malformed too, as is one whose query is
@@ -123,7 +126,7 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetItem], int]:
     ids: set[str] = set()
     skipped = 0
     base = Path(path).parent
-    with open(path, encoding="utf-8") as f:
+    with named_decode_errors(path), open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:

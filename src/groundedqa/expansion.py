@@ -28,8 +28,8 @@ class ExpansionFailure(RuntimeError):
 class Branch:
     """Search state of one axiom branch, and its only owner.
 
-    A branch starts from its own copy of the item's linked anchors and from
-    the item's read-only 1-hop subgraph; ``expand`` grows only this branch.
+    A branch copies the anchor set it is given and starts from the item's
+    read-only 1-hop subgraph; ``expand`` grows only this branch.
     """
 
     anchors: AnchorEntitySet
@@ -37,6 +37,9 @@ class Branch:
     consumed: set[int] = field(default_factory=set)
     groundings: dict[tuple[int, int], PremiseGrounding] = field(default_factory=dict)
     depth: int = 0
+
+    def __post_init__(self):
+        self.anchors = AnchorEntitySet(list(self.anchors.entities), dict(self.anchors.provenance))
 
 
 @dataclass(frozen=True)

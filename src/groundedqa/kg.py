@@ -10,8 +10,10 @@ without mutating it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import json
 import re
 import sys
 import unicodedata
@@ -35,6 +37,28 @@ _CHUNK_CHARS = 1 << 18
 # least 112 bytes beside the head's list. Caching every head instead raised
 # the qa_sparse benchmark's peak RSS from 110 to 114 MB and saved no time.
 HUB_MIN_IDS = 64
+
+
+class FileDecodeError(UnicodeDecodeError):
+    """A file that is not valid UTF-8; the message starts with the file's path."""
+
+    def __init__(self, path: str, exc: UnicodeDecodeError):
+        super().__init__(exc.encoding, exc.object, exc.start, exc.end, exc.reason)
+        self.path = path
+
+    def __str__(self) -> str:
+        return f"{self.path}: {super().__str__()}"
+
+
+@contextlib.contextmanager
+def named_decode_errors(path: str | Path):
+    """Re-raise a UTF-8 or JSON decode error of the block with ``path`` in its message."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FileDecodeError(str(path), exc) from exc
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from exc
 
 
 class KgParseError(ValueError):
@@ -464,7 +488,7 @@ def _read_columns(path: str | Path, width: int) -> list[list[str]]:
     columns: list[list[str]] = [[] for _ in range(width)]
     tabs = width - 1
     line_no = 0
-    with open(path, encoding="utf-8") as f:
+    with named_decode_errors(path), open(path, encoding="utf-8") as f:
         while lines := f.readlines(_CHUNK_CHARS):
             counts = list(map(str.count, lines, itertools.repeat("\t")))
             if counts.count(tabs) != len(lines):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .axioms import AxiomSyntaxError
+from .kg import named_decode_errors
 from .trace import Audit
 
 if TYPE_CHECKING:
@@ -70,7 +71,7 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
-        with open(path, encoding="utf-8") as f:
+        with named_decode_errors(path), open(path, encoding="utf-8") as f:
             return cls(json.load(f))
 
     def complete(self, request: LlmRequest) -> str:
@@ -245,8 +246,7 @@ def parse_select(text: str, n_candidates: int) -> Optional[tuple[list[int], list
     value = _first_line(text, "SELECT")
     if value is None:
         return None
-    indices, dropped = _parse_indices(value, n_candidates)
-    return indices, dropped
+    return _parse_indices(value, n_candidates)
 
 
 def parse_judge(text: str, n_candidates: int) -> Optional[tuple[str, list[int], list[str]]]:

@@ -3,13 +3,12 @@
 Templates are original content (no upstream prompts exist to reuse). Each
 one states the task, gives a short worked example, and pins the exact
 response line format that the parsers in :mod:`groundedqa.llm` expect.
-Rendering is deterministic; numbered triple lists are 1-based in triple-id
-order.
+Rendering is deterministic; numbered triple lists are 1-based, in triple-id
+order for the engine's roles and in distance order for the baseline.
 """
 
 from __future__ import annotations
 
-from string import Formatter
 from typing import Mapping
 
 
@@ -111,16 +110,6 @@ Answer:
 """,
 }
 
-# The axiom role builds these two template fields from its optional "option"
-# and required "prior_axioms" context fields; every other field is required.
-_AXIOM_SECTIONS = ("option_section", "prior_section")
-
-_CONTEXT_FIELDS = {
-    role: [f for _, f, _, _ in Formatter().parse(template) if f and f not in _AXIOM_SECTIONS]
-    for role, template in _TEMPLATES.items()
-}
-_CONTEXT_FIELDS["axiom"].append("prior_axioms")
-
 
 def number_lines(items: list[str]) -> str:
     """1-based numbered list, one item per line."""
@@ -144,13 +133,18 @@ def _axiom_sections(context: Mapping[str, object]) -> dict[str, str]:
 
 
 def render_prompt(role: str, context: Mapping[str, object]) -> str:
-    """Instantiate the template for a role; missing fields are contract errors."""
+    """Instantiate the template for a role; a field it names is required in ``context``.
+
+    A missing field raises ``PromptContextError`` naming it. The axiom role
+    builds two of its fields from the optional ``option`` and the required
+    ``prior_axioms`` context fields.
+    """
     template = _TEMPLATES.get(role)
     if template is None:
         raise PromptContextError(f"unknown role {role!r}")
-    for f in _CONTEXT_FIELDS[role]:
-        if f not in context:
-            raise PromptContextError(f"role {role!r} requires context field {f!r}")
-    if role == "axiom":
-        context = {**context, **_axiom_sections(context)}
-    return template.format_map(context)
+    try:
+        if role == "axiom":
+            context = {**context, **_axiom_sections(context)}
+        return template.format_map(context)
+    except KeyError as exc:
+        raise PromptContextError(f"role {role!r} requires context field {exc.args[0]!r}") from None

@@ -37,7 +37,7 @@ DEFAULT_LLM_WINDOW = 40
 # is a constant rather than a tuning knob (see README "Retrieval scoring").
 SCORE_CHUNK = 256
 
-# δ, a bound on the float error of a shortlist distance. HashedEmbedder.shortlist
+# δ, a bound on the float error of a shortlist distance. _TripleRows.sq_distances
 # approximates each candidate's squared distance to the query, a_i, within δ
 # of the square of the distance top_k_similar computes, d_i (the error is
 # about 1e-15). That holds in any summation order: r·q sums one non-negative
@@ -253,21 +253,6 @@ class HashedEmbedder:
         store, slots = self._stored(kg, np.asarray(triple_ids, dtype=np.intp))
         return store.rows(slots)
 
-    def shortlist(
-        self, kg: KnowledgeGraph, triple_ids: np.ndarray, query_vec: np.ndarray, k: int,
-    ) -> np.ndarray:
-        """The ids, in their order, that can be among the k rows nearest to ``query_vec``.
-
-        ``triple_ids`` is an ``np.intp`` array. Every triple of the exact top
-        k of ``embed_triples``' rows survives (see ``SHORTLIST_DELTA``);
-        ``0 < k < len(triple_ids)``. Triples not scored before are stored
-        first (see ``_stored``).
-        """
-        store, slots = self._stored(kg, triple_ids)
-        approx = store.sq_distances(slots, query_vec)
-        bound = np.partition(approx, k - 1)[k - 1] + 2 * SHORTLIST_DELTA
-        return triple_ids[approx <= bound]
-
     def _stored(
         self, kg: KnowledgeGraph, triple_ids: np.ndarray,
     ) -> tuple[_TripleRows, np.ndarray]:
@@ -325,8 +310,9 @@ def top_k_similar(
     Ascending Euclidean distance between embeddings, ties broken by smaller
     triple id; excluded ids never appear. Any iterable of ids works; a
     sorted, distinct ``np.intp`` array such as ``Subgraph.ids`` is used as
-    it is. When the rows come from a ``HashedEmbedder``'s own store, only
-    its shortlist is scored exactly.
+    it is. When the rows come from a ``HashedEmbedder``'s own store, one
+    lookup of the candidates' slots serves a shortlist of those that can
+    reach the top k (see ``SHORTLIST_DELTA``) and the exact pass over it.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -336,15 +322,19 @@ def top_k_similar(
     if candidates[0] < 0 or candidates[-1] >= len(kg):
         raise ValueError(f"triple ids must lie in [0, {len(kg)})")
     query_vec = embedder.embed_many([axiom_text])[0]
+    rows_of, keys = functools.partial(embedder.embed_triples, kg), candidates
     # the shortlist bounds the distances of the store's rows, so an embedder
     # that gives other rows keeps the full candidate list
-    if len(candidates) > k and (
-        getattr(embedder.embed_triples, "__func__", None) is HashedEmbedder.embed_triples
-    ):
-        candidates = embedder.shortlist(kg, candidates, query_vec, k)
+    if getattr(embedder.embed_triples, "__func__", None) is HashedEmbedder.embed_triples:
+        store, slots = embedder._stored(kg, candidates)
+        if len(candidates) > k:
+            approx = store.sq_distances(slots, query_vec)
+            keep = approx <= np.partition(approx, k - 1)[k - 1] + 2 * SHORTLIST_DELTA
+            candidates, slots = candidates[keep], slots[keep]
+        rows_of, keys = store.rows, slots
     dists = np.empty(len(candidates))
     for start in range(0, len(candidates), SCORE_CHUNK):
-        diff = embedder.embed_triples(kg, candidates[start:start + SCORE_CHUNK])
+        diff = rows_of(keys[start:start + SCORE_CHUNK])
         diff -= query_vec
         # vecdot reduces each C-contiguous row like the BLAS ddot behind
         # np.linalg.norm on one vector; einsum, (d*d).sum(1) or a strided row

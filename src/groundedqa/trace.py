@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, named_decode_errors
 
 SCHEMA_VERSION = 2
 
@@ -128,7 +128,8 @@ def _compact_json(doc: dict[str, Any]) -> str:
 
 
 def load_trace(path: str | Path) -> dict[str, Any]:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    with named_decode_errors(path):
+        return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 # -- verification -----------------------------------------------------------

@@ -222,3 +222,64 @@ def test_search_flag_defaults_are_search_config_defaults(command, extra):
         max_breadth=args.max_breadth, max_depth=args.max_depth, top_k=args.top_k,
     )
     assert config == SearchConfig()
+
+
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_an_exhausted_script_is_one_error_line(tmp_path, capsys, command):
+    triples, labels, _ = write_adult_files(tmp_path)
+    script = tmp_path / "empty.json"
+    script.write_text("{}", encoding="utf-8")
+    if command == "ask":
+        extra = ["--query", ADULT_QUERY, "--trace-out", str(tmp_path / "t.json")]
+    else:
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(json.dumps(
+            {"id": "a", "task": "qa", "query": ADULT_QUERY, "gold": "Yes"}) + "\n",
+            encoding="utf-8")
+        extra = ["--dataset", str(dataset), "--trace-out", str(tmp_path / "out")]
+    assert main([command, *scripted_args(triples, labels, script), *extra]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {script}: script exhausted for role")
+
+
+@pytest.mark.parametrize("bad, content", [
+    ("trace", b'{"query": "\xff"}\n'),
+    ("kg", b"Q1\tage\t\xff\n"),
+    ("labels", b"Q1\tVirginia \xffRaggi\n"),
+    ("dataset", b'{"id": "\xff"}\n'),
+    ("script", b'{"axiom": ["\xff"]}'),
+])
+def test_a_file_that_is_not_utf8_is_named_in_the_error_line(tmp_path, capsys, bad, content):
+    triples, labels, script = write_adult_files(tmp_path)
+    trace, dataset = tmp_path / "trace.json", tmp_path / "d.jsonl"
+    trace.write_text("{}", encoding="utf-8")
+    dataset.write_text("", encoding="utf-8")
+    path = {"trace": trace, "kg": triples, "labels": labels, "dataset": dataset,
+            "script": script}[bad]
+    path.write_bytes(content)
+    if bad in ("dataset", "script"):
+        argv = ["eval", *scripted_args(triples, labels, script), "--dataset", str(dataset),
+                "--trace-out", str(tmp_path / "out")]
+    else:
+        argv = ["verify", str(trace), "--kg", str(triples), "--labels", str(labels)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("bad", ["trace", "script"])
+def test_a_file_that_is_not_json_is_named_in_the_error_line(tmp_path, capsys, bad):
+    triples, labels, script = write_adult_files(tmp_path)
+    trace = tmp_path / "trace.json"
+    path = {"trace": trace, "script": script}[bad]
+    path.write_text("not json", encoding="utf-8")
+    if bad == "script":
+        argv = ["ask", *scripted_args(triples, labels, script), "--query", ADULT_QUERY,
+                "--trace-out", str(trace)]
+    else:
+        argv = ["verify", str(trace), "--kg", str(triples), "--labels", str(labels)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: Expecting value: line 1 column 1 (char 0)"]

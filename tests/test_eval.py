@@ -85,6 +85,18 @@ def test_load_dataset_skips_malformed(tmp_path):
     assert skipped == 2
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", "null", '"x"', "7", "true"])
+def test_a_line_that_is_not_a_json_object_is_skipped(tmp_path, line):
+    path = tmp_path / "d.jsonl"
+    path.write_text(_qa_line("a") + line + "\n" + _qa_line("b"), encoding="utf-8")
+    items, skipped = load_dataset(path)
+    assert [i.id for i in items] == ["a", "b"] and skipped == 1
+    metrics = run_eval(path, KnowledgeGraph([("Q1", "age", "45")]),
+                       ScriptedBackend({"baseline": ["Yes.", "Yes."]}), HashedEmbedder(),
+                       out_dir=tmp_path / "out", baseline=True)
+    assert metrics.n_items == 2 and metrics.skipped == 1
+
+
 def _qa_line(item_id, query="q"):
     return json.dumps({"id": item_id, "task": "qa", "query": query, "gold": "Yes"}) + "\n"
 

@@ -136,3 +136,15 @@ def test_identify_missing_single_candidate_skips_the_tail_scan(chain_kg, monkeyp
     m = identify_missing(**mei_args(chain_kg, backend, "Q_B", ()))
     assert m.resolved == "Q_C"
     assert calls == []
+
+
+def test_branches_built_from_one_anchor_set_do_not_share_it(chain_kg):
+    anchors = AnchorEntitySet(entities=["Q_B"], provenance={"Q_B": "lexical"})
+    subgraph = chain_kg.one_hop_subgraph(anchors.entities)
+    first, second = Branch(anchors, subgraph), Branch(anchors, subgraph)
+    missing = MissingEvidence("x", "Carla Dalloglio", "Q_C", already_anchor=False)
+    grow(chain_kg, first, missing, ScriptedBackend({"triple_select": ["SELECT:"]}), k=10)
+    assert first.anchors.entities == ["Q_B", "Q_C"]
+    assert second.anchors.entities == ["Q_B"] and second.anchors.provenance == {"Q_B": "lexical"}
+    assert anchors.entities == ["Q_B"] and anchors.provenance == {"Q_B": "lexical"}
+    assert second.subgraph.triple_ids == subgraph.triple_ids == frozenset({0, 1})

@@ -25,6 +25,7 @@ from groundedqa.entities import extract_entities_llm
 from groundedqa.expansion import Branch, ExpansionFailure, identify_missing
 from groundedqa.grounding import ground_premise_judge
 from groundedqa.llm import (
+    ROLES,
     ask,
     parse_axiom_block,
     parse_entities,
@@ -306,6 +307,32 @@ def test_entity_extract_prompt_contains_query_verbatim():
 def test_missing_context_field_is_contract_error():
     with pytest.raises(PromptContextError):
         render_prompt("judge", {"premise_text": "p(A)"})
+
+
+# the context fields each role's prompt requires; "option" is optional
+REQUIRED_FIELDS = {
+    "entity_extract": ("query",),
+    "axiom": ("query", "prior_axioms"),
+    "triple_select": ("axiom_text", "numbered_triples"),
+    "judge": ("premise_text", "numbered_triples"),
+    "mei": ("query", "axiom_text", "unsatisfied", "numbered_triples"),
+    "baseline": ("numbered_triples", "query"),
+}
+
+
+def test_every_role_renders_from_its_required_fields():
+    assert set(REQUIRED_FIELDS) == set(ROLES)
+    for role, fields in REQUIRED_FIELDS.items():
+        assert render_prompt(role, dict.fromkeys(fields, "x"))
+
+
+@pytest.mark.parametrize("role, missing", [
+    (role, field) for role, fields in REQUIRED_FIELDS.items() for field in fields
+])
+def test_a_missing_required_field_is_named(role, missing):
+    context = {f: "x" for f in REQUIRED_FIELDS[role] if f != missing}
+    with pytest.raises(PromptContextError, match=f"role '{role}' requires context field '{missing}'"):
+        render_prompt(role, context)
 
 
 # -- the exchange seam -------------------------------------------------------

@@ -386,6 +386,26 @@ def test_shortlist_kg_often_ties_at_the_kth_distance():
     assert tied >= 5
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_hashed_top_k_call_looks_the_store_up_once(monkeypatch, warm):
+    """One slot lookup serves the shortlist and the exact pass over it."""
+    embedder, ids, text = HashedEmbedder(), range(len(SHORTLIST_KG)), "rome mayor age"
+    if warm:
+        embedder.embed_triples(SHORTLIST_KG, ids)
+    calls = []
+    stored = HashedEmbedder._stored
+
+    def counting(self, kg, triple_ids):
+        calls.append(len(triple_ids))
+        return stored(self, kg, triple_ids)
+
+    monkeypatch.setattr(HashedEmbedder, "_stored", counting)
+    assert top_k_similar(embedder, text, SHORTLIST_KG, ids, 10) == _ref_top_k(
+        256, text, SHORTLIST_KG, ids, 10,
+    )
+    assert calls == [len(SHORTLIST_KG)]
+
+
 def test_a_cold_whole_kg_call_counts_at_most_score_chunk_texts_at_once(monkeypatch):
     kg = _tie_heavy_kg(17, n=3 * SCORE_CHUNK + 5)
     sizes = []
